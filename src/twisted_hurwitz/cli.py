@@ -277,22 +277,15 @@ def cmd_export_covers(args, out=None, err=None) -> int:
         if args.format == "json":
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(cover_to_json(covers) + "\n", encoding="utf-8")
-            written = [target]
         else:
             target.mkdir(parents=True, exist_ok=True)
-            written = []
             for i, cover in enumerate(covers):
                 path = target / ("cover_%03d.dot" % i)
                 path.write_text(cover_to_dot(cover, name="cover_%03d" % i), encoding="utf-8")
-                written.append(path)
     except OSError as exc:
         print("cannot write %s: %s" % (target, exc), file=err)
         return EXIT_UNWRITABLE
-    print(
-        "%d covers at d=%d g=%d -> %s"
-        % (len(covers), args.degree, args.genus, written[0].parent if args.format == "dot" else written[0]),
-        file=out,
-    )
+    print("%d covers at d=%d g=%d -> %s" % (len(covers), args.degree, args.genus, target), file=out)
     return EXIT_OK
 
 

@@ -42,6 +42,7 @@ from functools import lru_cache
 
 from .factorizations import count_twisted
 from .graphs import FeynmanGraph, GraphClass, enumerate_graphs
+from .graphs import vertex_profiles as _vertex_profiles
 from .radicals import RadicalScalar
 from .series import TruncatedSeries
 
@@ -309,15 +310,6 @@ class NormalizationReading:
 _READINGS = tuple(
     NormalizationReading(ge, ae) for ge in (1, -1) for ae in (1, -1)
 )
-
-
-def _vertex_profiles(g: int):
-    """(three_valent, two_valent) vertex counts compatible with genus g."""
-    s = g - 1
-    for c in range(s + 1):
-        t = s - c
-        if t % 2 == 0:
-            yield t, c
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,28 @@ from itertools import permutations
 from math import factorial
 
 
+def connected(n: int, pairs) -> bool:
+    """Do the pairs join the points 0..n-1 into one component?  False for
+    n == 0.  Union-find with path halving."""
+    if n == 0:
+        return False
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+    return components == 1
+
+
 @dataclass(frozen=True)
 class FeynmanGraph:
     """Multigraph on vertices 0..vertex_count-1; edges are unordered pairs.
@@ -49,27 +71,23 @@ class FeynmanGraph:
         return sum(1 for u, v in self.edges if u == v)
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return len(seen) == self.vertex_count
+        return connected(self.vertex_count, self.edges)
 
 
 @dataclass(frozen=True)
 class GraphClass:
     graph: FeynmanGraph
     automorphism_count: int
+
+
+def vertex_profiles(g: int):
+    """(three_valent, two_valent) vertex counts compatible with genus g:
+    g - 1 vertices, an even number of them 3-valent so the germs pair up."""
+    s = g - 1
+    for c in range(s + 1):
+        t = s - c
+        if t % 2 == 0:
+            yield t, c
 
 
 def genus(graph: FeynmanGraph) -> int:

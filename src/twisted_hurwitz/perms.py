@@ -29,6 +29,8 @@ from __future__ import annotations
 import itertools
 import re
 
+from .graphs import connected
+
 Perm = tuple
 
 
@@ -247,23 +249,7 @@ def acts_transitively(gens, n: int) -> bool:
     """
     if n <= 1:
         return True
-    if not gens:
-        return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i in range(n):
-            ri, rj = find(i), find(g[i])
-            if ri != rj:
-                parent[ri] = rj
-    root = find(0)
-    return all(find(i) == root for i in range(n))
+    return connected(n, ((i, g[i]) for g in gens for i in range(n)))
 
 
 def _check_size(p: Perm, d: int):

@@ -19,6 +19,16 @@ weights = outgoing germ weights), and the cover is connected.  Two covers
 are the same iff their edge multisets agree — positions are pinned, so
 covers differing by which branch point a vertex sits over are distinct.
 
+The quotients are built from graph types rather than searched edge by
+edge: every connected multigraph with 2- and 3-valent vertices from
+graphs.enumerate_graphs (the graph-sum pipeline's enumerator), relabelled
+onto the positions in every distinct way, and each edge then given an
+orientation, a weight w <= d and a crossing count k under the budget
+sum(w*k) = d.  Balance at a vertex is checked as soon as its last incident
+edge is decorated.  Loops occur only at g = 2: a loop balances only at a
+lone 2-valent vertex, while at a 3-valent vertex it leaves the third germ
+unbalanced.
+
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
 2-valent vertex lifts to a single fixed 4-valent vertex (v,o), and every
@@ -48,9 +58,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
-from .graphs import FeynmanGraph
+from .graphs import FeynmanGraph, connected, enumerate_graphs, relabel, vertex_profiles
 
 STRAIGHT, CROSSED = 0, 1
 
@@ -71,25 +81,6 @@ def _is_balanced(edges, s):
         outw[i] += w
         inw[j] += w
     return inw == outw
-
-
-def _quotient_connected(edges, s):
-    if s == 0:
-        return False
-    parent = list(range(s))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _k, _w in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    root = find(0)
-    return all(find(v) == root for v in range(s))
 
 
 def _quotient_aut(edges):
@@ -122,54 +113,59 @@ def _two_valent_weights(edges, s):
 # quotient enumeration
 
 
-def _edge_candidates(s, d):
-    out = []
-    for i in range(s):
-        for j in range(s):
-            kmin = 0 if i < j else 1
-            for w in range(1, d + 1):
-                for k in range(kmin, d // w + 1):
-                    out.append((i, j, k, w))
-    return sorted(out)
-
-
 def _enumerate_multisets(d, g):
     """All balanced connected degree-d edge multisets with one 2- or
-    3-valent vertex per position, as sorted tuples, ascending."""
+    3-valent vertex per position, as sorted tuples, ascending: graph types
+    x position labels x (orientation, weight, crossings) per edge, with
+    balance checked at each vertex's last edge and loops only at g = 2."""
     s = g - 1
-    cands = _edge_candidates(s, d)
-    germs = [0] * s
+    labelled = set()
+    for t, c in vertex_profiles(g):
+        for cls in enumerate_graphs(t, c, allow_loops=g == 2):
+            for perm in permutations(range(s)):
+                labelled.add(relabel(cls.graph, perm).edges)
     results = []
-
-    def rec(start, budget, chosen):
-        if budget == 0 and all(x in (2, 3) for x in germs):
-            edges = tuple(chosen)
-            if _is_balanced(edges, s) and _quotient_connected(edges, s):
-                results.append(edges)
-        for idx in range(start, len(cands)):
-            i, j, k, w = cands[idx]
-            if w * k > budget:
-                continue
-            if i == j:
-                if germs[i] > 1:
-                    continue
-                germs[i] += 2
-            else:
-                if germs[i] > 2 or germs[j] > 2:
-                    continue
-                germs[i] += 1
-                germs[j] += 1
-            chosen.append(cands[idx])
-            rec(idx, budget - w * k, chosen)
-            chosen.pop()
-            if i == j:
-                germs[i] -= 2
-            else:
-                germs[i] -= 1
-                germs[j] -= 1
-
-    rec(0, d, [])
+    for pairs in labelled:
+        results.extend(_decorations(pairs, s, d))
     return sorted(results)
+
+
+def _decorations(pairs, s, d):
+    """Edge multisets (i, j, k, w) over the labelled edge set `pairs` with
+    sum of w*k equal to d, balanced at every position.  A position's balance
+    is checked as soon as its last incident edge is decorated; parallel
+    edges take non-decreasing decorations so each multiset appears once."""
+    closes = [[] for _ in pairs]
+    for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items():
+        closes[n].append(v)
+    net = [0] * s  # outgoing minus incoming germ weight
+    chosen = []
+    out = []
+
+    def rec(n, budget):
+        if n == len(pairs):
+            if budget == 0:
+                out.append(tuple(sorted(chosen)))
+            return
+        u, v = pairs[n]
+        floor = chosen[-1] if n and pairs[n - 1] == pairs[n] else ()
+        for i, j in {(u, v), (v, u)}:  # a loop has one orientation
+            for w in range(1, d + 1):
+                for k in range(0 if i < j else 1, budget // w + 1):
+                    e = (i, j, k, w)
+                    if e < floor:
+                        continue
+                    net[i] += w
+                    net[j] -= w
+                    if all(net[x] == 0 for x in closes[n]):
+                        chosen.append(e)
+                        rec(n + 1, budget - w * k)
+                        chosen.pop()
+                    net[i] -= w
+                    net[j] += w
+
+    rec(0, d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +230,7 @@ def _lift_vertices(edges, s):
 
 def _lift_connected(recs, vertices):
     index = {v: n for n, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _cls, (a, b) in recs:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    return all(find(n) == root for n in range(len(vertices)))
+    return connected(len(vertices), ((index[a], index[b]) for _cls, (a, b) in recs))
 
 
 def _apply_flip(vertex, flipped):

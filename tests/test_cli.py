@@ -293,6 +293,18 @@ def test_export_covers_dot(tmp_path, capsys):
         assert text.rstrip().endswith("}")
 
 
+def test_export_covers_dot_without_covers(tmp_path, capsys):
+    # degree 1 has no contributing covers; the directory is still reported
+    target = tmp_path / "covers"
+    code, out, err = run(
+        capsys,
+        "export-covers", "-d", "1", "-g", "3", "--out", str(target), "--format", "dot",
+    )
+    assert code == 0 and err == ""
+    assert out.strip() == "0 covers at d=1 g=3 -> %s" % target
+    assert list(target.iterdir()) == []
+
+
 def test_export_covers_rejects_genus_1(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -1,5 +1,6 @@
 """Tropical pipeline: quotient covers, lift classes, multiplicities."""
 
+import hashlib
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -51,6 +52,21 @@ def test_cover_counts_frozen():
     expected = {(2, 3): 5, (2, 4): 7, (2, 5): 17, (3, 3): 13, (3, 4): 19}
     for (d, g), n in expected.items():
         assert len(enumerate_quotient_covers(d, g)) == n
+    # raw quotient multisets, before the (omega_v - 1) filter and the lifts;
+    # counts and digest were taken from the earlier edge-candidate search
+    multisets = {}
+    for g, counts in {2: (1, 2, 2), 3: (1, 5, 8), 4: (1, 11, 34), 5: (1, 27, 148)}.items():
+        for d, n in zip((1, 2, 3), counts):
+            multisets[(d, g)] = tropical._enumerate_multisets(d, g)
+            assert len(multisets[(d, g)]) == n
+    multisets[(4, 4)] = tropical._enumerate_multisets(4, 4)
+    assert len(multisets[(4, 4)]) == 96
+    blob = repr([(d, g, ms) for (d, g), ms in multisets.items()]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "1df81c31fb39b72ba42ab7be8fa75dd4bcb1063a580a2fb216cdf8f85fffd7ca"
+    )
+    # symgroup, tropical and the graph sum agree on this value
+    assert count_tropical(4, 4) == 11456
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -154,6 +170,7 @@ def _gap_coverage(cover):
 def test_balance_and_fiberwise_degree(d, g):
     for cv in enumerate_quotient_covers(d, g):
         assert tropical._is_balanced(cv.edges, cv.positions)
+        assert cv.graph().is_connected()
         assert cv.degree_over_base() == d
         # the covering degree is d over *every* circle point, not just the base
         assert _gap_coverage(cv) == [d] * cv.positions
