@@ -4,8 +4,8 @@ Four independent pipelines compute the same family of counts and are
 checked against one another:
 
 - ``count_twisted`` — direct factorization counting in the symmetric
-  group (connected or disconnected), with a compiled kernel when the
-  optional extension is built;
+  group (connected or disconnected), as a dynamic program over
+  transposition products summed over hyperoctahedral orbits;
 - ``count_tropical`` — enumeration of tropical quotient covers with
   per-lift multiplicities (connected, genus >= 2);
 - ``generating_series_coefficient`` — graph-sum assembly from exact
@@ -17,12 +17,12 @@ All arithmetic is exact (integers, ``fractions.Fraction``, square roots
 of integers that must cancel); nothing is floated.
 """
 
-from ._kernel import KERNEL_BACKEND
 from .factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     HurwitzQuery,
     HurwitzResult,
+    KERNEL_BACKEND,
     count_classical,
     count_twisted,
     enumerate_twisted_tuples,

@@ -21,6 +21,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -90,6 +91,18 @@ class RunRecord:
     @property
     def value(self) -> Fraction:
         return Fraction(int(self.numerator), int(self.denominator))
+
+
+def _replayable(hit: dict):
+    """The cached record as a RunRecord, or None when it is damaged: a
+    field missing or malformed, the numerator not an integer or the
+    denominator zero."""
+    try:
+        record = RunRecord.from_dict(hit)
+        record.value  # raises on a bad numerator or a zero denominator
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+    return record
 
 
 def _incompatibility(method: str, d: int, g: int, connected) -> str:
@@ -174,8 +187,11 @@ def cmd_compute(args, out=None, err=None) -> int:
     }
     hit = cache.lookup(key)
     if hit is not None:
-        _emit(RunRecord.from_dict(hit), args.format, out)
-        return EXIT_OK
+        cached = _replayable(hit)
+        if cached is not None:
+            _emit(cached, args.format, out)
+            return EXIT_OK
+        warnings.warn("ignoring damaged cache record in %s; recomputing" % cache.path)
 
     start = time.perf_counter()
     try:

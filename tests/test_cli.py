@@ -221,6 +221,42 @@ def test_corrupt_cache_lines_are_skipped(tmp_path, capsys):
     assert out2 == out1  # the valid record still hits
 
 
+def _damage_cached_record(cache_file, change):
+    record = json.loads(cache_file.read_text())
+    change(record)
+    cache_file.write_text(json.dumps(record) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r: r.pop("numerator"),
+        lambda r: r.update(denominator="0"),
+    ],
+    ids=["no-numerator", "zero-denominator"],
+)
+def test_damaged_matching_record_is_recomputed(tmp_path, capsys, fmt, change):
+    cache_file = tmp_path / "cache.jsonl"
+    argv = (
+        "compute", "--cache-file", str(cache_file),
+        "--method", "symgroup", "-d", "2", "-g", "3", "--format", fmt,
+    )
+    run(capsys, *argv)
+    _damage_cached_record(cache_file, change)
+    with pytest.warns(UserWarning, match="ignoring damaged cache record"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    value = out.splitlines()[0] if fmt == "plain" else json.loads(out)["numerator"]
+    assert value == "16"
+    lines = cache_file.read_text().splitlines()
+    assert len(lines) == 2  # the recomputed record was appended
+    assert RunRecord.from_dict(json.loads(lines[1])).value == 16
+    # the appended record now hits and replays verbatim
+    code, again, _ = run(capsys, *argv)
+    assert (code, again) == (0, out)
+
+
 def test_cache_show_and_clear(tmp_path, capsys):
     cache_file = str(tmp_path / "cache.jsonl")
     run(

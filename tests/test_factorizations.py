@@ -15,6 +15,9 @@ from twisted_hurwitz import perms
 from twisted_hurwitz.factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
+    _alpha_lookup,
+    _sigma_orbits,
+    _twisted_tables,
     count_classical,
     count_twisted,
     enumerate_twisted_tuples,
@@ -124,6 +127,48 @@ def test_threads_do_not_change_the_answer():
     one = count_twisted(2, 3, threads=1)
     two = count_twisted(2, 3, threads=2)
     assert (one.tuple_count, one.value) == (two.tuple_count, two.value)
+
+
+# -- the layered count against independent paths --------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("connected", [True, False])
+def test_count_matches_tuple_stream(d, g, connected):
+    # the stream walks every transposition sequence for every sigma and
+    # checks transitivity with perms.acts_transitively
+    stream = sum(1 for _ in enumerate_twisted_tuples(d, g, connected=connected))
+    assert count_twisted(d, g, connected=connected).tuple_count == stream
+
+
+# tuple counts of the depth-first walk over every sigma and transposition
+# sequence, (connected, disconnected)
+WALK_COUNTS = {
+    (3, 5): (983808, 1058304),
+    (4, 3): (196608, 322560),
+    (4, 4): (4399104, 5050368),
+}
+
+
+@pytest.mark.parametrize("d,g", sorted(WALK_COUNTS))
+def test_frozen_walk_counts(d, g):
+    got = tuple(count_twisted(d, g, connected=c).tuple_count for c in (True, False))
+    assert got == WALK_COUNTS[(d, g)]
+
+
+def test_sigma_orbits():
+    # B_d acting on B~_d by conjugation; each orbit's size is |B_d| over the
+    # order of its representative's centralizer in B_d
+    for d, count, total in [(3, 3, 15), (4, 5, 105)]:
+        _, _, alphas, sigmas = _twisted_tables(d)
+        orbits = _sigma_orbits(d)
+        assert len(orbits) == count
+        assert sum(size for _, size in orbits) == len(sigmas) == total
+        for sigma, size in orbits:
+            centralizer = _alpha_lookup(sigma, alphas)[bytes(sigma)]
+            assert size * len(centralizer) == len(alphas) == 2**d * factorial(d)
+    assert sorted(size for _, size in _sigma_orbits(3)) == [1, 6, 8]
 
 
 # -- equivariance --------------------------------------------------------------
