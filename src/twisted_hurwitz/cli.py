@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .cache import DEFAULT_CACHE_PATH, ResultCache
-from .factorizations import BudgetExceeded, count_twisted
+from .factorizations import BudgetExceeded, count_twisted, resolve_budget
 from .feynman import generating_series_coefficient, normalization_reading
 from .fock import elliptic_disconnected
 from .tropical import count_tropical, cover_to_dot, cover_to_json, enumerate_quotient_covers
@@ -127,6 +127,15 @@ def _incompatibility(method: str, d: int, g: int, connected) -> str:
     return ""
 
 
+def _checked_budget(budget, err):
+    """The step budget, or None after reporting a malformed TH_BUDGET."""
+    try:
+        return resolve_budget(budget)
+    except ValueError as exc:
+        print("incompatible parameters: %s" % exc, file=err)
+        return None
+
+
 def _compute_value(method, d, g, connected, budget, threads):
     """(value, normalization_reading_label) for one query."""
     if method == "symgroup":
@@ -193,10 +202,15 @@ def cmd_compute(args, out=None, err=None) -> int:
             return EXIT_OK
         warnings.warn("ignoring damaged cache record in %s; recomputing" % cache.path)
 
+    budget = args.budget
+    if args.method == "symgroup":
+        budget = _checked_budget(budget, err)
+        if budget is None:
+            return EXIT_INCOMPATIBLE
     start = time.perf_counter()
     try:
         value, reading = _compute_value(
-            args.method, args.degree, args.genus, connected, args.budget, args.threads
+            args.method, args.degree, args.genus, connected, budget, args.threads
         )
     except BudgetExceeded as exc:
         print("step budget exceeded: %s" % exc, file=err)
@@ -222,6 +236,10 @@ def cmd_compute(args, out=None, err=None) -> int:
 def cmd_validate(args, out=None, err=None) -> int:
     """Cross-method value matrix with PASS/FAIL per identity."""
     out = out or sys.stdout
+    err = err or sys.stderr
+    budget = _checked_budget(args.budget, err)
+    if budget is None:
+        return EXIT_INCOMPATIBLE
     failures = 0
     skips = 0
     for g in range(1, args.g_max + 1):
@@ -235,11 +253,11 @@ def cmd_validate(args, out=None, err=None) -> int:
                     return None
 
             sym_conn = guarded(
-                lambda: count_twisted(d, g, connected=True, budget=args.budget,
+                lambda: count_twisted(d, g, connected=True, budget=budget,
                                       threads=args.threads).value
             )
             sym_disc = guarded(
-                lambda: count_twisted(d, g, connected=False, budget=args.budget,
+                lambda: count_twisted(d, g, connected=False, budget=budget,
                                       threads=args.threads).value
             )
             trop = count_tropical(d, g) if g >= 2 else None

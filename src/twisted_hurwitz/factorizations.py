@@ -69,6 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from time import perf_counter
 
 from . import perms
@@ -306,7 +307,7 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         total = _count_orbit_range((d, g, connected, 0, reps))
     elapsed = (perf_counter() - start) * 1000.0
 
-    norm = 2**d * _factorial(d)
+    norm = 2**d * factorial(d)
     return HurwitzResult(
         query=HurwitzQuery("twisted", d, g, connected),
         tuple_count=total,
@@ -315,13 +316,6 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         backend=KERNEL_BACKEND,
         elapsed_ms=elapsed,
     )
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def enumerate_twisted_tuples(d, g, connected=True, budget=None):
@@ -396,9 +390,9 @@ def count_classical(d, g, connected=True, budget=None):
     return HurwitzResult(
         query=HurwitzQuery("classical", d, g, connected),
         tuple_count=total,
-        normalization=_factorial(d),
-        value=Fraction(total, _factorial(d)),
-        backend="python",
+        normalization=factorial(d),
+        value=Fraction(total, factorial(d)),
+        backend=KERNEL_BACKEND,
         elapsed_ms=elapsed,
     )
 

@@ -36,10 +36,10 @@ ParityViolation instead of being silently skipped.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+
+from .graphs import multiset_automorphisms as aut_count  # |Aut(mu)|
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -69,14 +69,6 @@ def check_partition(mu):
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError("partition must be weakly decreasing: %r" % (mu,))
     return mu
-
-
-def aut_count(mu):
-    """|Aut(mu)| = product over part values of (multiplicity!)."""
-    out = 1
-    for m in Counter(mu).values():
-        out *= factorial(m)
-    return out
 
 
 def parts_product(mu):
@@ -198,9 +190,6 @@ class FockVector:
 
     def coefficient(self, mu):
         return self.terms.get(tuple(mu), ZPoly())
-
-    def energies(self):
-        return {sum(mu) for mu in self.terms}
 
     def __eq__(self, other):
         return isinstance(other, FockVector) and self.terms == other.terms

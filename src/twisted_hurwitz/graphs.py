@@ -14,6 +14,7 @@ the cover-multiplicity formulas divide by.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -97,11 +98,6 @@ def genus(graph: FeynmanGraph) -> int:
     return len(graph.edges) - graph.vertex_count + 1
 
 
-def vertex_orderings(graph: FeynmanGraph) -> list:
-    """All total orders of the vertices, as tuples, lexicographic."""
-    return list(permutations(range(graph.vertex_count)))
-
-
 def relabel(graph: FeynmanGraph, mapping) -> FeynmanGraph:
     """Apply a vertex bijection (mapping[v] = new name)."""
     return FeynmanGraph(
@@ -110,11 +106,13 @@ def relabel(graph: FeynmanGraph, mapping) -> FeynmanGraph:
     )
 
 
-def _edge_multiplicities(edges):
-    mult = {}
-    for e in edges:
-        mult[e] = mult.get(e, 0) + 1
-    return mult
+def multiset_automorphisms(items) -> int:
+    """Permutations of equal items that fix a multiset: the product of m!
+    over the multiplicities m (parallel edges, identical quotient edges)."""
+    out = 1
+    for m in Counter(items).values():
+        out *= factorial(m)
+    return out
 
 
 def automorphism_count(graph: FeynmanGraph, degree_classes=None) -> int:
@@ -131,10 +129,7 @@ def automorphism_count(graph: FeynmanGraph, degree_classes=None) -> int:
     for phi in maps:
         if tuple(sorted(tuple(sorted((phi[u], phi[v]))) for u, v in edges)) == edges:
             vertex_maps += 1
-    out = vertex_maps * 2 ** graph.loop_count()
-    for m in _edge_multiplicities(edges).values():
-        out *= factorial(m)
-    return out
+    return vertex_maps * 2 ** graph.loop_count() * multiset_automorphisms(edges)
 
 
 def _degree_preserving_maps(degrees):

@@ -33,11 +33,17 @@ The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
 2-valent vertex lifts to a single fixed 4-valent vertex (v,o), and every
 edge lifts to two copies swapped by the involution.  The only discrete
-choice is a gluing sign for each edge whose endpoints are both doubled:
-"straight" joins + to + and - to -, "crossed" joins + to -.  Enumerating
-all sign assignments, keeping the connected ones, and identifying
-isomorphic results (vertex sign flips composed with involution-equivariant
-edge matchings) yields the distinct twisted covers over a given quotient.
+choice is a gluing sign for each edge whose endpoints are both doubled
+(an e33 edge): "straight" joins + to + and - to -, "crossed" joins + to -.
+The lift classes are found on the sign vectors themselves (lift_classes
+derives the details).  Flipping the + and - lifts of a set f of doubled
+positions toggles the signs of the e33 edges with one endpoint in f and
+only permutes the lifts of every other edge, so the class key is the
+minimum over all f of the sorted (edge, sign) pairs of the e33 edges, and
+
+    |Aut| = #{f fixing the key} * prod n! over groups of n equal
+            (edge, sign) pairs and of n equal other edges
+            * 2^{#edges with both endpoints 2-valent}.
 
 Each twisted cover pi is counted with multiplicity
 
@@ -56,11 +62,20 @@ the left side from explicit lifts.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
+from operator import xor
 
-from .graphs import FeynmanGraph, connected, enumerate_graphs, relabel, vertex_profiles
+from .graphs import (
+    FeynmanGraph,
+    connected,
+    enumerate_graphs,
+    multiset_automorphisms,
+    relabel,
+    vertex_profiles,
+)
 
 STRAIGHT, CROSSED = 0, 1
 
@@ -81,21 +96,6 @@ def _is_balanced(edges, s):
         outw[i] += w
         inw[j] += w
     return inw == outw
-
-
-def _quotient_aut(edges):
-    """Automorphisms of the position-pinned quotient: permutations of
-    identical edges (same endpoints, crossings and weight)."""
-    mult = {}
-    for e in edges:
-        mult[e] = mult.get(e, 0) + 1
-    out = 1
-    for m in mult.values():
-        f = 1
-        for t in range(2, m + 1):
-            f *= t
-        out *= f
-    return out
 
 
 def _two_valent_weights(edges, s):
@@ -187,142 +187,74 @@ def e33_indices(edges, s):
     )
 
 
-def _lift_records(edges, s, sign_by_edge):
-    """Edge records of the double cover: list of (class, endpoint-pair),
-    where record 2m and 2m+1 are the two lifts of quotient edge m (swapped
-    by the involution).  Lift vertices are (position, +1/-1) for doubled
-    positions and (position, 0) for fixed ones."""
-    germs = _germ_counts(edges, s)
-    recs = []
-    for idx, (i, j, k, w) in enumerate(edges):
-        cls = (i, j, k, w)
-        di, dj = _doubled(germs, i), _doubled(germs, j)
-        if di and dj:
-            flip = -1 if sign_by_edge.get(idx, STRAIGHT) == CROSSED else 1
-            ends0 = ((i, 1), (j, flip))
-            ends1 = ((i, -1), (j, -flip))
-        elif di:
-            ends0 = ((i, 1), (j, 0))
-            ends1 = ((i, -1), (j, 0))
-        elif dj:
-            ends0 = ((i, 0), (j, 1))
-            ends1 = ((i, 0), (j, -1))
-        else:
-            ends0 = ((i, 0), (j, 0))
-            ends1 = ((i, 0), (j, 0))
-        recs.append((cls, tuple(sorted(ends0))))
-        recs.append((cls, tuple(sorted(ends1))))
-    return recs
-
-
-def _lift_vertices(edges, s):
-    germs = _germ_counts(edges, s)
-    out = []
-    for v in range(s):
-        if germs[v] == 0:
-            continue
-        if _doubled(germs, v):
-            out.extend([(v, 1), (v, -1)])
-        else:
-            out.append((v, 0))
-    return out
-
-
-def _lift_connected(recs, vertices):
-    index = {v: n for n, v in enumerate(vertices)}
-    return connected(len(vertices), ((index[a], index[b]) for _cls, (a, b) in recs))
-
-
-def _apply_flip(vertex, flipped):
-    v, sg = vertex
-    if sg and v in flipped:
-        return (v, -sg)
-    return vertex
-
-
-def _flipped_multiset(recs, flipped):
-    return sorted(
-        (cls, tuple(sorted((_apply_flip(a, flipped), _apply_flip(b, flipped)))))
-        for cls, (a, b) in recs
-    )
-
-
-def _equivariant_matchings(recs, flipped):
-    """Count edge bijections recs -> recs compatible with the vertex flip
-    `flipped` and commuting with the involution (lift partners 2m <-> 2m+1
-    must map to partners).  Candidate images must share the path class and
-    have the flipped endpoints."""
-    n = len(recs)
-    by_key = {}
-    for t, (cls, ends) in enumerate(recs):
-        by_key.setdefault((cls, ends), []).append(t)
-
-    goal = [None] * n
-    for e, (cls, (a, b)) in enumerate(recs):
-        goal[e] = (cls, tuple(sorted((_apply_flip(a, flipped), _apply_flip(b, flipped)))))
-
-    assigned = [None] * n
-    used = [False] * n
-
-    def bt(e):
-        while e < n and assigned[e] is not None:
-            e += 1
-        if e == n:
-            return 1
-        total = 0
-        for t in by_key.get(goal[e], ()):
-            if used[t] or used[t ^ 1]:
-                continue
-            assigned[e], assigned[e ^ 1] = t, t ^ 1
-            used[t] = used[t ^ 1] = True
-            total += bt(e + 1)
-            assigned[e] = assigned[e ^ 1] = None
-            used[t] = used[t ^ 1] = False
-        return total
-
-    return bt(0)
-
-
-def _lift_automorphisms(recs, doubled_positions):
-    base = sorted(recs)
-    total = 0
-    for bits in iproduct((0, 1), repeat=len(doubled_positions)):
-        flipped = {v for v, b in zip(doubled_positions, bits) if b}
-        if _flipped_multiset(recs, flipped) != base:
-            continue
-        total += _equivariant_matchings(recs, flipped)
-    return total
-
-
 def lift_classes(edges, s):
     """Isomorphism classes of connected double covers over a quotient.
 
     Returns (classes, connected_count, assignment_count) where classes is a
     list of (signs, automorphism_count) with signs the lexicographically
     smallest gluing assignment in the class, ordered by signs.
+
+    Lift vertices are (v,+) and (v,-) for a doubled position v and one
+    (v,o) for a 2-valent one.  Flipping a set f of doubled positions swaps
+    their + and - and toggles the sign of every e33 edge with exactly one
+    endpoint in f; every other edge lifts to a pair that a flip only
+    permutes.  Two sign vectors therefore give isomorphic lifts iff some f
+    carries the multiset of (edge, sign) pairs over the e33 edges of one to
+    that of the other: the class key is the minimum of that sorted tuple
+    over all flip sets.  An automorphism is a flip f fixing the key
+    together with an involution-equivariant edge matching, which sends each
+    lift pair to a lift pair of an equal edge carrying the flipped sign.
+    Where the pair's two lifts differ, exactly one of its two ways of
+    mapping onto the target pair fits; where they coincide (both endpoints
+    2-valent, or a crossed loop) both do.  So |Aut| is the number of flip
+    sets fixing the key, times n! per group of n equal (edge, sign) pairs
+    and per group of n equal other edges, times 2 per coinciding pair.
     """
-    e33 = e33_indices(edges, s)
     germs = _germ_counts(edges, s)
-    doubled_positions = [v for v in range(s) if germs[v] and _doubled(germs, v)]
-    vertices = _lift_vertices(edges, s)
+    e33 = e33_indices(edges, s)
+    glued = [edges[x] for x in e33]
+    rest = multiset_automorphisms(e for x, e in enumerate(edges) if x not in e33)
+    # lift vertex numbers: (v,+) is plus[v] and (v,-) is minus[v]; (v,o) is both
+    plus, minus, n = {}, {}, 0
+    for v in range(s):
+        if germs[v]:
+            plus[v], minus[v] = n, n + _doubled(germs, v)
+            n = minus[v] + 1
+    doubled = [v for v in plus if plus[v] != minus[v]]
+    flips = [
+        {v for v, b in zip(doubled, bits) if b}
+        for bits in iproduct((0, 1), repeat=len(doubled))
+    ]
+    # the sign toggles of the flip sets, with how many flip sets give each
+    toggles = Counter(tuple((i in f) ^ (j in f) for i, j, _k, _w in glued) for f in flips)
+
+    def key(signs):
+        return tuple(sorted(zip(glued, signs)))
+
+    def lifts(signs):
+        """The two lifts of every quotient edge, as lift-vertex pairs."""
+        sign = dict(zip(e33, signs))
+        for x, (i, j, _k, _w) in enumerate(edges):
+            a, b = (minus, plus) if sign.get(x) else (plus, minus)
+            yield (plus[i], a[j]), (minus[i], b[j])
 
     seen = {}
-    connected = 0
+    connected_count = 0
     for signs in iproduct((STRAIGHT, CROSSED), repeat=len(e33)):
-        sign_by_edge = dict(zip(e33, signs))
-        recs = _lift_records(edges, s, sign_by_edge)
-        if not _lift_connected(recs, vertices):
+        if not connected(n, (p for pair in lifts(signs) for p in pair)):
             continue
-        connected += 1
-        canon = min(
-            tuple(_flipped_multiset(recs, {v for v, b in zip(doubled_positions, bits) if b}))
-            for bits in iproduct((0, 1), repeat=len(doubled_positions))
-        )
+        connected_count += 1
+        keys = {t: key(map(xor, signs, t)) for t in toggles}
+        canon = min(keys.values())
         if canon not in seen:
-            seen[canon] = (signs, _lift_automorphisms(recs, doubled_positions))
+            own = key(signs)
+            aut = sum(m for t, m in toggles.items() if keys[t] == own)
+            aut *= multiset_automorphisms(own) * rest
+            aut *= 2 ** sum(sorted(p) == sorted(q) for p, q in lifts(signs))
+            seen[canon] = (signs, aut)
 
     classes = sorted(seen.values())
-    return classes, connected, 2 ** len(e33)
+    return classes, connected_count, 2 ** len(e33)
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +311,8 @@ class QuotientCover:
             self.positions, tuple((min(i, j), max(i, j)) for i, j, _k, _w in self.edges)
         )
 
-    def order(self):
-        return tuple(range(self.positions))
-
-    def weights(self):
-        return tuple(w for _i, _j, _k, w in self.edges)
-
-    def crossings(self):
-        return tuple(k for _i, _j, k, _w in self.edges)
-
     def degree_over_base(self):
         return sum(w * k for _i, _j, k, w in self.edges)
-
-    def quotient_automorphism_count(self):
-        return _quotient_aut(self.edges)
 
 
 @dataclass(frozen=True)
@@ -436,7 +356,7 @@ def quotient_multiplicity(edges, g) -> Fraction:
     scale = (
         Fraction(2 ** (2 * gp - 3)) if 2 * gp >= 3 else Fraction(1, 2 ** (3 - 2 * gp))
     )
-    value = lead * scale * Fraction(1, _quotient_aut(edges))
+    value = lead * scale * Fraction(1, multiset_automorphisms(edges))
     for wv in _two_valent_weights(edges, s).values():
         value *= wv - 1
     for _i, _j, _k, w in edges:
@@ -493,7 +413,9 @@ def preimage_details(cover: QuotientCover, g=None) -> dict:
     c = sum(1 for x in germs if x == 2)
     gp = len(edges) - s + 1
     lift_sum = sum((Fraction(1, aut) for _signs, aut in classes), Fraction(0))
-    closed = Fraction(2**gp - (1 if c == 0 else 0), 2 ** (c + 1) * _quotient_aut(edges))
+    closed = Fraction(
+        2**gp - (1 if c == 0 else 0), 2 ** (c + 1) * multiset_automorphisms(edges)
+    )
     return {
         "lift_sum": lift_sum,
         "closed_form": closed,
@@ -509,10 +431,14 @@ def preimage_details(cover: QuotientCover, g=None) -> dict:
 # export
 
 
+def _sign_by_edge(cover: QuotientCover) -> dict:
+    """Map edge index -> gluing sign, for the e33 edges."""
+    return dict(zip(e33_indices(cover.edges, cover.positions), cover.lift))
+
+
 def cover_record(cover: QuotientCover) -> dict:
     """JSON-ready description of one twisted cover."""
-    e33 = set(e33_indices(cover.edges, cover.positions))
-    sign_by_edge = dict(zip(sorted(e33), cover.lift))
+    sign_by_edge = _sign_by_edge(cover)
     mult = cover_multiplicity(cover)
     edges = []
     for idx, (i, j, k, w) in enumerate(cover.edges):
@@ -548,8 +474,7 @@ def cover_to_json(covers) -> str:
 def cover_to_dot(cover: QuotientCover, name="cover") -> str:
     """DOT rendering; edges are oriented by the covering map (forward
     around the circle), vertices carry their branch-point position."""
-    e33 = sorted(e33_indices(cover.edges, cover.positions))
-    sign_by_edge = dict(zip(e33, cover.lift))
+    sign_by_edge = _sign_by_edge(cover)
     germs = _germ_counts(cover.edges, cover.positions)
     lines = ["digraph %s {" % name]
     for v in range(cover.positions):

@@ -181,6 +181,25 @@ def test_budget_env_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and "step budget exceeded" in err
 
 
+def test_malformed_budget_env_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TH_BUDGET", "abc")
+    code, out, err = run(
+        capsys, *compute_args(tmp_path, "--method", "symgroup", "-d", "2", "-g", "3")
+    )
+    assert (code, out) == (2, "")
+    assert err == "incompatible parameters: TH_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_malformed_budget_env_still_replays_cache_hits(tmp_path, capsys, monkeypatch):
+    argv = compute_args(
+        tmp_path, "--method", "symgroup", "-d", "2", "-g", "3", "--format", "json"
+    )
+    _, first, _ = run(capsys, *argv)
+    monkeypatch.setenv("TH_BUDGET", "abc")
+    code, again, err = run(capsys, *argv)
+    assert (code, again, err) == (0, first, "")
+
+
 # -- cache ----------------------------------------------------------------------
 
 
@@ -286,6 +305,13 @@ def test_validate_small_grid(tmp_path, capsys):
     assert any("fock==sym_disc:PASS" in line for line in lines)
     row11 = [line for line in lines if line.startswith("d=1 g=1")][0]
     assert "tropical=-" in row11 and "feynman=-" in row11
+
+
+def test_validate_malformed_budget_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("TH_BUDGET", "abc")
+    code, out, err = run(capsys, "validate", "-d", "1", "-g", "1")
+    assert (code, out) == (2, "")
+    assert err == "incompatible parameters: TH_BUDGET must be an integer, got 'abc'\n"
 
 
 def test_validate_budget_skips(tmp_path, capsys):

@@ -69,6 +69,22 @@ def test_cover_counts_frozen():
     assert count_tropical(4, 4) == 11456
 
 
+def test_lift_classes_frozen():
+    # every quotient of three points, before the (omega_v - 1) filter: lift
+    # class representatives, automorphism counts, connected and total sign
+    # assignments; digest taken from the record-and-matching implementation
+    blob = repr(
+        [
+            (d, g, [tropical.lift_classes(e, g - 1) for e in tropical._enumerate_multisets(d, g)])
+            for d, g in ((3, 5), (4, 4), (2, 6))
+        ]
+    ).encode()
+    assert len(blob) == 11405
+    assert hashlib.sha256(blob).hexdigest() == (
+        "9e55acc8a4b987a12b90d561d4d899ce02f98ba6db99d25780e3b37d1bd72b0f"
+    )
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_degree1_has_no_contributing_covers(g):
     assert enumerate_quotient_covers(1, g) == []
