@@ -55,9 +55,17 @@ class ResultCache:
         return found
 
     def store(self, record: dict) -> None:
+        """Append *record* as one line.  A last line left without its newline
+        (an interrupted write) is closed first, so the torn line is skipped
+        as corrupt and the new record stays readable."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=False) + "\n")
+        line = (json.dumps(record, sort_keys=False) + "\n").encode("utf-8")
+        with open(self.path, "ab+") as handle:
+            if handle.seek(0, 2):
+                handle.seek(-1, 2)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
 
     def clear(self) -> None:
         if self.path.exists():

@@ -19,18 +19,51 @@ base point, and the total q-degree is the covering degree.  Weights are
 truncated at w <= d, which is lossless: the degree over any point of the
 base bounds every edge weight.
 
+Integer weights.  The factor above is w times one sqrt(w-1) per 2-valent
+endpoint, so a monomial of the propagator product (one weight w_k and one
+direction per edge) has coefficient
+
+    prod_k w_k  *  prod_{2-valent v}  sqrt(w_e - 1) * sqrt(w_e' - 1)
+
+with e, e' the two edges at v (distinct: there are no loops).  The
+x_v-exponent of the monomial is +-w_e +- w_e', so it vanishes only when
+w_e = w_e', and then the two roots at v multiply to (w_e - 1).  The graph
+sum therefore uses the integer rule: every 2-valent vertex designates its
+lowest-index edge, and an edge's factor is c_w = w * (w-1)^k with k the
+number of its endpoints that designate it, except that c_1 = 0 next to
+any 2-valent endpoint (as sqrt(0) = 0 makes it in the radical rule).  On
+every x-balanced monomial both rules give the same value, so every x^0
+coefficient agrees.  Both rules give positive factors with the same zero
+set (w = 1 at a 2-valent end), so every partial product has the same
+terms under either rule and the pruning below, which reads exponents
+only, drops the same ones.  Only coefficients off x^0, which nothing
+reads, differ.
+
+Orbits of vertex orders.  A vertex automorphism phi of the graph permutes
+its edges, and the order (phi(v_1), ..., phi(v_s)) sees every edge of
+the graph as the order (v_1, ..., v_s) sees its preimage: same tail and
+head valences, same place in the order.  Its integrand is the other's
+with the q- and x-variables renamed, so the sum of the x^0 coefficients
+of total q-degree d is the same for both.  The order sum is therefore
+one representative per orbit of vertex orders under the automorphisms,
+times the orbit size; the action is free, so every orbit has as many
+orders as the graph has vertex automorphisms.
+
 The prefactor combining these integrals admits four plausible readings
 (the global 2^(g-1) as numerator or denominator, the automorphism count
 of the graph as multiplier or divisor).  Rather than hard-code one,
 ``calibrate_normalization`` fixes the reading once by requiring agreement
 with the symmetric-group pipeline on small anchor cases, and the chosen
-reading is reported alongside exported series.  Every integral is
+reading is reported alongside exported series.
+
+``feynman_integral`` and ``direct_cover_sum`` keep the radical rule and
+serve as the oracle for the integer one.  Every integral they extract is
 asserted to be rational: the sqrt(w-1) factors produced at 2-valent
 vertices must pair up exactly when the balancing holds, so a surviving
 radical signals a real bug rather than numerical noise.
 
 Each (graph, order) term is an independent pure computation; results are
-combined by exact rational arithmetic in a deterministic order.
+combined by exact arithmetic in a deterministic order.
 """
 
 from __future__ import annotations
@@ -40,8 +73,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .factorizations import count_twisted
-from .graphs import FeynmanGraph, GraphClass, enumerate_graphs
+from .factorizations import DEFAULT_BUDGET, count_twisted
+from .graphs import FeynmanGraph, GraphClass, enumerate_graphs, vertex_automorphisms
 from .graphs import vertex_profiles as _vertex_profiles
 from .radicals import RadicalScalar
 from .series import TruncatedSeries
@@ -81,6 +114,33 @@ def propagator_coefficient(w: int, valence_k1: int, valence_k2: int) -> RadicalS
     if two_valent_ends == 1:
         return RadicalScalar.sqrt(w - 1) * w
     return RadicalScalar.from_rational(w * (w - 1))
+
+
+def _radical_coefficient(edge, w: int) -> RadicalScalar:
+    """The oracle's per-edge rule: c_w from the endpoint valences."""
+    return propagator_coefficient(w, edge.tail_valence, edge.head_valence)
+
+
+def integer_coefficients(graph: FeynmanGraph):
+    """The graph's integer per-edge rule (see the module docstring).
+
+    Each 2-valent vertex designates its lowest-index edge; an edge gets
+    c_w = w * (w-1)^k with k the number of endpoints designating it, and
+    c_1 = 0 when either endpoint is 2-valent.  Returns a function
+    (OrientedEdge, w) -> int that agrees with the radical rule on every
+    x^0 coefficient of the propagator product.
+    """
+    designations = [0] * len(graph.edges)
+    for v, degree in enumerate(graph.degrees()):
+        if degree == 2:
+            designations[min(k for k, e in enumerate(graph.edges) if v in e)] += 1
+
+    def coefficient(edge, w: int) -> int:
+        if w == 1 and 2 in (edge.tail_valence, edge.head_valence):
+            return 0
+        return w * (w - 1) ** designations[edge.index]
+
+    return coefficient
 
 
 @dataclass(frozen=True)
@@ -133,11 +193,14 @@ def _edge_xexp(edge: OrientedEdge, w: int) -> tuple:
     return tuple(xe)
 
 
-def propagator(edge: OrientedEdge, cap: int) -> TruncatedSeries:
+def propagator(edge: OrientedEdge, cap: int,
+               coefficient=_radical_coefficient) -> TruncatedSeries:
     """The edge propagator, truncated at total q-degree ``cap``.
 
     The crossing-free part (q-degree 0) is also truncated at weight
     w <= cap, which matches the weight bound of a degree-``cap`` cover.
+    ``coefficient(edge, w)`` gives c_w: the radical rule by default, or a
+    graph's ``integer_coefficients``.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -149,17 +212,20 @@ def propagator(edge: OrientedEdge, cap: int) -> TruncatedSeries:
         terms[key] = coef if acc is None else acc + coef
 
     for w in range(1, cap + 1):
-        coef = propagator_coefficient(w, edge.tail_valence, edge.head_valence)
+        coef = coefficient(edge, w)
         if coef:
             accumulate((zero_q, _edge_xexp(edge, w)), coef)
     for a in range(1, cap + 1):
         qe = tuple(a if i == edge.index else 0 for i in range(edge.edge_count))
         for w in _divisors(a):
-            coef = propagator_coefficient(w, edge.tail_valence, edge.head_valence)
+            coef = coefficient(edge, w)
             if coef:
                 accumulate((qe, _edge_xexp(edge, w)), coef)
                 accumulate((qe, _edge_xexp(edge, -w)), coef)
-    return TruncatedSeries(edge.edge_count, edge.vertex_count, cap, terms)
+    # the keys are well-formed by construction, so skip the per-term checks
+    series = TruncatedSeries(edge.edge_count, edge.vertex_count, cap)
+    series.terms = {key: coef for key, coef in terms.items() if coef}
+    return series
 
 
 def _graph_of(graph_or_class) -> FeynmanGraph:
@@ -170,9 +236,10 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
     raise TypeError("expected a FeynmanGraph or GraphClass, got %r" % (graph_or_class,))
 
 
-@lru_cache(maxsize=None)
-def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
-    """x-balanced part of the propagator product under one vertex order.
+def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
+               coefficient=_radical_coefficient) -> TruncatedSeries:
+    """x-balanced part of the propagator product under one vertex order,
+    with c_w from ``coefficient`` (as in ``propagator``).
 
     After each factor, terms whose x-exponent at some vertex exceeds what
     the remaining edges could still cancel (at most ``cap`` per incident
@@ -192,7 +259,7 @@ def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
 
     series = TruncatedSeries.constant(len(edges), vertex_count, cap, 1)
     for k, edge in enumerate(edges):
-        series = series * propagator(edge, cap)
+        series = series * propagator(edge, cap, coefficient)
         limits = slack[k]
         kept = {
             key: coef
@@ -204,6 +271,13 @@ def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
             pruned.terms = kept
             series = pruned
     return series
+
+
+@lru_cache(maxsize=16)
+def _oracle_integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
+    """``_integrand`` under the radical rule, kept for the few (graph, order,
+    cap) that consecutive ``feynman_integral`` calls share."""
+    return _integrand(graph, order, cap)
 
 
 def _check_multidegree(graph: FeynmanGraph, a) -> tuple:
@@ -229,7 +303,7 @@ def feynman_integral(graph_class, order, a) -> RadicalScalar:
     """
     graph = _graph_of(graph_class)
     a = _check_multidegree(graph, a)
-    series = _integrand(graph, tuple(order), sum(a))
+    series = _oracle_integrand(graph, tuple(order), sum(a))
     coef = series.coefficient(a, (0,) * graph.vertex_count)
     if not coef.is_rational:
         raise NonRationalIntegral(
@@ -312,20 +386,30 @@ _READINGS = tuple(
 )
 
 
+def order_representatives(graph: FeynmanGraph, automorphisms=None) -> list:
+    """One vertex order per orbit under the vertex automorphisms: the
+    lexicographically least order of each orbit."""
+    automorphisms = automorphisms or vertex_automorphisms(graph)
+    return [
+        order
+        for order in itertools.permutations(range(graph.vertex_count))
+        if all(tuple(phi[v] for v in order) >= order for phi in automorphisms)
+    ]
+
+
 @lru_cache(maxsize=None)
-def _order_sum(graph: FeynmanGraph, d: int) -> Fraction:
-    """Sum over all vertex orders of all degree-d balanced coefficients."""
-    total = Fraction(0)
-    for order in itertools.permutations(range(graph.vertex_count)):
-        series = _integrand(graph, order, d)
-        for qexp, coef in sorted(series.x_constant_part().items()):
+def _order_sum(graph: FeynmanGraph, d: int) -> int:
+    """Sum over all vertex orders of all degree-d balanced coefficients,
+    from one order per automorphism orbit under the integer rule."""
+    automorphisms = vertex_automorphisms(graph)
+    coefficient = integer_coefficients(graph)
+    total = 0
+    for order in order_representatives(graph, automorphisms):
+        series = _integrand(graph, order, d, coefficient)
+        for qexp, coef in series.x_constant_part().items():
             if sum(qexp) == d:
-                if not coef.is_rational:
-                    raise NonRationalIntegral(
-                        "integral of %r at %r is %r" % (graph, qexp, coef)
-                    )
-                total += coef.as_fraction()
-    return total
+                total += coef
+    return total * len(automorphisms)
 
 
 def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:
@@ -351,8 +435,11 @@ def calibrate_normalization(anchors=ANCHOR_POINTS) -> NormalizationReading:
     Each candidate reading is evaluated on every anchor (d, g) and compared
     with the symmetric-group pipeline; exactly one reading must survive.
     """
+    # the anchors are fixed small points, so they run under the default
+    # budget whatever TH_BUDGET says
     targets = {
-        (d, g): count_twisted(d, g, connected=True).value for d, g in anchors
+        (d, g): count_twisted(d, g, connected=True, budget=DEFAULT_BUDGET).value
+        for d, g in anchors
     }
     evidence = {}
     winners = []

@@ -115,21 +115,29 @@ def multiset_automorphisms(items) -> int:
     return out
 
 
-def automorphism_count(graph: FeynmanGraph, degree_classes=None) -> int:
-    """Order of the multigraph automorphism group.
+def vertex_automorphisms(graph: FeynmanGraph, degree_classes=None) -> list:
+    """The vertex bijections (as tuples, phi[v] = image of v) that fix the
+    edge multiset.
 
-    Counts vertex bijections preserving the edge multiset (optionally
-    restricted to preserve the given degree classes — equivalent, since any
-    automorphism preserves degrees, but cheaper), then multiplies by the
-    permutations of parallel edges and the 2 half-edge swaps of each loop.
+    Candidates are the degree-preserving bijections, optionally passed in
+    precomputed as ``degree_classes`` (equivalent, since any automorphism
+    preserves degrees).
     """
     maps = degree_classes or _degree_preserving_maps(graph.degrees())
     edges = graph.edges
-    vertex_maps = 0
-    for phi in maps:
-        if tuple(sorted(tuple(sorted((phi[u], phi[v]))) for u, v in edges)) == edges:
-            vertex_maps += 1
-    return vertex_maps * 2 ** graph.loop_count() * multiset_automorphisms(edges)
+    return [
+        phi
+        for phi in maps
+        if tuple(sorted(tuple(sorted((phi[u], phi[v]))) for u, v in edges)) == edges
+    ]
+
+
+def automorphism_count(graph: FeynmanGraph, degree_classes=None) -> int:
+    """Order of the multigraph automorphism group: the vertex automorphisms
+    times the permutations of parallel edges and the 2 half-edge swaps of
+    each loop."""
+    vertex_maps = len(vertex_automorphisms(graph, degree_classes))
+    return vertex_maps * 2 ** graph.loop_count() * multiset_automorphisms(graph.edges)
 
 
 def _degree_preserving_maps(degrees):

@@ -46,9 +46,10 @@ class RadicalScalar:
                 r = int(r)
                 if squarefree_split(r)[0] != 1:
                     raise ValueError("radicand %d is not square-free" % r)
-                q = Fraction(q)
+                if not isinstance(q, Fraction):
+                    q = Fraction(q)
                 if q:
-                    clean[r] = clean.get(r, Fraction(0)) + q
+                    clean[r] = clean[r] + q if r in clean else q
         self.terms = {r: q for r, q in clean.items() if q}
 
     @classmethod
@@ -90,7 +91,7 @@ class RadicalScalar:
             return NotImplemented
         out = dict(self.terms)
         for r, q in other.terms.items():
-            out[r] = out.get(r, Fraction(0)) + q
+            out[r] = out[r] + q if r in out else q
         return RadicalScalar(out)
 
     __radd__ = __add__
@@ -119,7 +120,8 @@ class RadicalScalar:
         for r1, q1 in self.terms.items():
             for r2, q2 in other.terms.items():
                 s, r = squarefree_split(r1 * r2)
-                out[r] = out.get(r, Fraction(0)) + q1 * q2 * s
+                q = q1 * q2 * s
+                out[r] = out[r] + q if r in out else q
         return RadicalScalar(out)
 
     __rmul__ = __mul__

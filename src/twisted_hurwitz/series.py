@@ -1,26 +1,27 @@
 """Sparse truncated series in edge variables q_k and vertex variables x_j.
 
-A term is a coefficient (a RadicalScalar) attached to a pair of exponent
-vectors: q-exponents, which are non-negative and truncated in *total*
-degree by ``q_cap``, and x-exponents, which may be negative (the x's are
-formal Laurent variables; the quantity of interest later is the part
-where every x-exponent is zero).  Multiplication drops any product term
-whose total q-degree exceeds the cap, so the cap is preserved by
-construction.
+A term is a coefficient attached to a pair of exponent vectors:
+q-exponents, which are non-negative and truncated in *total* degree by
+``q_cap``, and x-exponents, which may be negative (the x's are formal
+Laurent variables; the quantity of interest later is the part where
+every x-exponent is zero).  Multiplication drops any product term whose
+total q-degree exceeds the cap, so the cap is preserved by construction.
+
+Coefficients are kept as given (int, Fraction or RadicalScalar): the
+graph sum multiplies ints, its radical reference path RadicalScalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .radicals import RadicalScalar
 
 
-def _coerce_scalar(value):
-    if isinstance(value, RadicalScalar):
+def _check_scalar(value):
+    if isinstance(value, (RadicalScalar, int, Fraction)):
         return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalScalar.from_rational(value)
     raise TypeError("coefficient must be RadicalScalar or rational, got %r" % (value,))
 
 
@@ -46,7 +47,7 @@ class TruncatedSeries:
                     raise ValueError("q-exponents must be non-negative")
                 if sum(qe) > self.q_cap:
                     raise ValueError("term exceeds the q-degree cap")
-                coef = _coerce_scalar(coef)
+                coef = _check_scalar(coef)
                 if coef:
                     key = (qe, xe)
                     acc = clean.get(key)
@@ -59,11 +60,11 @@ class TruncatedSeries:
     def constant(cls, q_count, x_count, q_cap, value) -> "TruncatedSeries":
         zero_q = (0,) * q_count
         zero_x = (0,) * x_count
-        return cls(q_count, x_count, q_cap, {(zero_q, zero_x): _coerce_scalar(value)})
+        return cls(q_count, x_count, q_cap, {(zero_q, zero_x): value})
 
     @classmethod
     def monomial(cls, q_count, x_count, q_cap, qexp, xexp, value) -> "TruncatedSeries":
-        return cls(q_count, x_count, q_cap, {(tuple(qexp), tuple(xexp)): _coerce_scalar(value)})
+        return cls(q_count, x_count, q_cap, {(tuple(qexp), tuple(xexp)): value})
 
     # -- ring operations ----------------------------------------------------
 
@@ -92,14 +93,14 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         cap = self.q_cap
+        right = [(qb, xb, sum(qb), cb) for (qb, xb), cb in other.terms.items()]
         out = {}
         for (qa, xa), ca in self.terms.items():
-            for (qb, xb), cb in other.terms.items():
-                qe = tuple(i + j for i, j in zip(qa, qb))
-                if sum(qe) > cap:
+            room = cap - sum(qa)
+            for qb, xb, degree, cb in right:
+                if degree > room:
                     continue
-                xe = tuple(i + j for i, j in zip(xa, xb))
-                key = (qe, xe)
+                key = (tuple(map(add, qa, qb)), tuple(map(add, xa, xb)))
                 prod = ca * cb
                 acc = out.get(key)
                 out[key] = prod if acc is None else acc + prod
@@ -108,7 +109,7 @@ class TruncatedSeries:
         return result
 
     def scale(self, value) -> "TruncatedSeries":
-        value = _coerce_scalar(value)
+        value = _check_scalar(value)
         result = TruncatedSeries(self.q_count, self.x_count, self.q_cap)
         result.terms = {k: v for k, v in ((k, c * value) for k, c in self.terms.items()) if v}
         return result

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from twisted_hurwitz import cli
+from twisted_hurwitz import cli, feynman
 from twisted_hurwitz.cli import RunRecord, main
 
 
@@ -200,6 +200,33 @@ def test_malformed_budget_env_still_replays_cache_hits(tmp_path, capsys, monkeyp
     assert (code, again, err) == (0, first, "")
 
 
+@pytest.fixture
+def fresh_calibration():
+    """Make the next feynman query calibrate again, under the test's env."""
+    feynman._default_reading.cache_clear()
+    yield
+    feynman._default_reading.cache_clear()
+
+
+@pytest.mark.parametrize("env", ["abc", "10"])
+def test_budget_env_does_not_reach_calibration(tmp_path, capsys, monkeypatch,
+                                               fresh_calibration, env):
+    # the anchors are fixed internal points: a malformed or tiny TH_BUDGET
+    # must neither crash them on a miss nor on a hit (whose key needs the
+    # calibrated reading)
+    monkeypatch.setenv("TH_BUDGET", env)
+    argv = compute_args(
+        tmp_path, "--method", "feynman", "-d", "2", "-g", "3", "--format", "json"
+    )
+    code, first, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(first)["numerator"] == "16"
+    feynman._default_reading.cache_clear()
+    code, again, err = run(capsys, *argv)
+    assert (code, again, err) == (0, first, "")
+    assert (tmp_path / "cache.jsonl").read_text().count("\n") == 1
+
+
 # -- cache ----------------------------------------------------------------------
 
 
@@ -238,6 +265,25 @@ def test_corrupt_cache_lines_are_skipped(tmp_path, capsys):
         code, out2, _ = run(capsys, *argv)
     assert code == 0
     assert out2 == out1  # the valid record still hits
+
+
+def test_torn_last_cache_line_keeps_the_next_record(tmp_path, capsys):
+    cache_file = tmp_path / "cache.jsonl"
+    torn = '{"method": "symgroup", "d": 2, "g"'  # a write cut off mid-line
+    cache_file.write_text(torn)
+    argv = (
+        "compute", "--cache-file", str(cache_file),
+        "--method", "symgroup", "-d", "2", "-g", "3", "--format", "json",
+    )
+    with pytest.warns(UserWarning, match="skipping corrupt cache line 1"):
+        code, first, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(first)["numerator"] == "16"
+    assert cache_file.read_text() == torn + "\n" + first
+    # the stored record hits: replayed verbatim, nothing appended
+    with pytest.warns(UserWarning, match="skipping corrupt cache line 1"):
+        code, again, _ = run(capsys, *argv)
+    assert (code, again) == (0, first)
+    assert cache_file.read_text() == torn + "\n" + first
 
 
 def _damage_cached_record(cache_file, change):

@@ -2,9 +2,11 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from twisted_hurwitz import feynman
 from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.feynman import (
     ANCHOR_POINTS,
@@ -15,12 +17,14 @@ from twisted_hurwitz.feynman import (
     feynman_integral,
     generating_series_coefficient,
     generating_series_export,
+    integer_coefficients,
     normalization_reading,
+    order_representatives,
     oriented_edges,
     propagator,
     propagator_coefficient,
 )
-from twisted_hurwitz.graphs import enumerate_graphs
+from twisted_hurwitz.graphs import enumerate_graphs, vertex_automorphisms, vertex_profiles
 from twisted_hurwitz.radicals import RadicalScalar
 
 
@@ -155,6 +159,87 @@ def test_integrals_on_the_desk_grid_are_rational():
                         continue
                     value = feynman_integral(cls, order, a)
                     assert value.is_rational  # raises NonRationalIntegral otherwise
+
+
+def _graph_classes(g):
+    for t, c in vertex_profiles(g):
+        yield from enumerate_graphs(t, c)
+
+
+def test_integer_rule_matches_the_radical_oracle():
+    # every x^0 coefficient, per q-exponent vector, under every vertex order
+    checked = 0
+    for g in (3, 4, 5):
+        for cls in _graph_classes(g):
+            graph = cls.graph
+            coefficient = integer_coefficients(graph)
+            for order in itertools.permutations(range(graph.vertex_count)):
+                for cap in (1, 2, 3):
+                    radical = feynman._integrand(graph, order, cap)
+                    integer = feynman._integrand(graph, order, cap, coefficient)
+                    assert integer.terms.keys() == radical.terms.keys()
+                    for key, coef in integer.terms.items():
+                        assert type(coef) is int
+                        assert radical.terms[key] == coef
+                        checked += 1
+    assert checked > 300
+
+
+def test_integer_rule_designates_one_edge_per_twovalent_vertex():
+    graph = enumerate_graphs(0, 3)[0].graph  # triangle of 2-valent vertices
+    edges = oriented_edges(graph, (0, 1, 2))
+    coefficient = integer_coefficients(graph)
+    assert [e.index for e in edges] == [0, 1, 2]
+    # edges (0,1), (0,2), (1,2): vertices 0 and 1 designate edge 0, 2 edge 1
+    assert [coefficient(e, 3) for e in edges] == [3 * 2 * 2, 3 * 2, 3]
+    assert [coefficient(e, 1) for e in edges] == [0, 0, 0]
+    theta = _theta().graph
+    assert [integer_coefficients(theta)(e, 1) for e in oriented_edges(theta, (0, 1))] == [1] * 3
+
+
+def test_orbit_sum_equals_the_sum_over_all_orders():
+    for g in (3, 4, 5, 6):
+        for cls in _graph_classes(g):
+            graph = cls.graph
+            automorphisms = vertex_automorphisms(graph)
+            reps = order_representatives(graph, automorphisms)
+            assert len(reps) * len(automorphisms) == factorial(graph.vertex_count)
+            coefficient = integer_coefficients(graph)
+            for d in (1, 2):
+                full = sum(
+                    coef
+                    for order in itertools.permutations(range(graph.vertex_count))
+                    for qexp, coef in feynman._integrand(
+                        graph, order, d, coefficient
+                    ).x_constant_part().items()
+                    if sum(qexp) == d
+                )
+                assert feynman._order_sum(graph, d) == full, (graph, d)
+
+
+def test_order_sum_builds_no_radicals(monkeypatch):
+    built = []
+    original = RadicalScalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadicalScalar, "__init__", counting_init)
+    for g in (3, 4, 5):
+        for cls in _graph_classes(g):
+            for d in (1, 2, 3):
+                feynman._order_sum.__wrapped__(cls.graph, d)
+    assert built == []
+    direct_cover_sum(_theta(), (0, 1), (3, 0, 0))  # the probe does count
+    assert built
+
+
+def test_counts_beyond_the_desk_grid():
+    # oracles: count_tropical(4, 4) = 11456; symgroup (4, 5) tuple count
+    # 122585088 over (2*4)!! = 384
+    assert generating_series_coefficient(4, 4) == 11456
+    assert generating_series_coefficient(4, 5) == 319232 == Fraction(122585088, 384)
 
 
 # -- calibration and assembly ------------------------------------------------------
