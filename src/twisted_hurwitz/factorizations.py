@@ -60,8 +60,9 @@ Searches are budgeted: a query whose projected tuple-tree size exceeds the
 budget raises BudgetExceeded instead of running for hours.  The projection
 is the size of the tuple tree a direct search would walk (sigmas times
 transposition sequences times alphas), not the smaller work of the dynamic
-program.  The default budget is 10**9 nodes and may be overridden per call
-or via the TH_BUDGET environment variable.
+program, and it comes from the closed-form sizes of those sets, so a
+refused query builds none of them.  The default budget is 10**9 nodes and
+may be overridden per call or via the TH_BUDGET environment variable.
 """
 
 import os
@@ -69,7 +70,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from time import perf_counter
 
 from . import perms
@@ -151,8 +152,11 @@ def _alpha_lookup(sigma, alphas):
 
 
 def _twisted_projected(d, g):
-    etas, _, alphas, sigmas = _twisted_tables(d)
-    return len(sigmas) * len(etas) ** (g - 1) * len(alphas)
+    """|B~_d| * |eta|^(g-1) * |B_d| from the closed forms (2d-1)!!,
+    C(2d, 2) - d and 2^d d!, so a refusal builds no table."""
+    sigmas = factorial(2 * d) // (2**d * factorial(d))
+    etas = comb(2 * d, 2) - d
+    return sigmas * etas ** (g - 1) * 2**d * factorial(d)
 
 
 def _orbits(points, group):
@@ -372,10 +376,10 @@ def count_classical(d, g, connected=True, budget=None):
     """Torus cover count: (sigma, tau_1..tau_{2g-2}, alpha) tuples over d!."""
     _check_dg(d, g)
     limit = resolve_budget(budget)
-    group, swaps = _classical_tables(d)
-    projected = len(group) ** 2 * max(len(swaps), 1) ** (2 * g - 2)
+    projected = factorial(d) ** 2 * max(comb(d, 2), 1) ** (2 * g - 2)
     if projected > limit:
         raise BudgetExceeded(projected, limit)
+    group, swaps = _classical_tables(d)
 
     start = perf_counter()
     ident = tuple(range(d))

@@ -39,15 +39,21 @@ terms under either rule and the pruning below, which reads exponents
 only, drops the same ones.  Only coefficients off x^0, which nothing
 reads, differ.
 
-Orbits of vertex orders.  A vertex automorphism phi of the graph permutes
-its edges, and the order (phi(v_1), ..., phi(v_s)) sees every edge of
-the graph as the order (v_1, ..., v_s) sees its preimage: same tail and
-head valences, same place in the order.  Its integrand is the other's
-with the q- and x-variables renamed, so the sum of the x^0 coefficients
-of total q-degree d is the same for both.  The order sum is therefore
-one representative per orbit of vertex orders under the automorphisms,
-times the orbit size; the action is free, so every orbit has as many
-orders as the graph has vertex automorphisms.
+Labelled graphs instead of orders.  Let f(G, pi) be the sum of the x^0
+coefficients of total q-degree d of graph G under the vertex order pi.
+Renaming the vertices of a class C so that pi becomes the identity turns
+(C, pi) into a labelled graph G on the positions with f(C, pi) =
+f(G, identity), the same integrand with renamed variables.  Each labelled
+G isomorphic to C arises from |VAut(C)| orders, so
+
+    sum_pi f(C, pi) = |VAut(C)| * sum_{labelled G ~ C} f(G, identity).
+
+As |Aut(C)| = |VAut(C)| * prod m! over the parallel-edge multiplicities m,
+a class's term splits into one term per labelled graph: f(G, identity) /
+prod m!(G) when #Aut divides, and f(G, identity) * |VAut(G)|^2 * prod m!(G)
+when it multiplies (which only calibration evaluates).  So the sum runs
+over ``graphs.labelled_graphs`` under the identity order, with no
+canonical form or automorphism search in the calibrated reading.
 
 The prefactor combining these integrals admits four plausible readings
 (the global 2^(g-1) as numerator or denominator, the automorphism count
@@ -62,7 +68,7 @@ asserted to be rational: the sqrt(w-1) factors produced at 2-valent
 vertices must pair up exactly when the balancing holds, so a surviving
 radical signals a real bug rather than numerical noise.
 
-Each (graph, order) term is an independent pure computation; results are
+Each labelled graph's term is an independent pure computation; results are
 combined by exact arithmetic in a deterministic order.
 """
 
@@ -74,7 +80,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .factorizations import DEFAULT_BUDGET, count_twisted
-from .graphs import FeynmanGraph, GraphClass, enumerate_graphs, vertex_automorphisms
+from .graphs import (FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms,
+                     vertex_automorphisms)
+# no counting path calls enumerate_graphs; the name stays because the
+# graphs.enumerate probe in perfbench/probes.py wraps feynman.enumerate_graphs
+from .graphs import enumerate_graphs  # noqa: F401
 from .graphs import vertex_profiles as _vertex_profiles
 from .radicals import RadicalScalar
 from .series import TruncatedSeries
@@ -386,30 +396,12 @@ _READINGS = tuple(
 )
 
 
-def order_representatives(graph: FeynmanGraph, automorphisms=None) -> list:
-    """One vertex order per orbit under the vertex automorphisms: the
-    lexicographically least order of each orbit."""
-    automorphisms = automorphisms or vertex_automorphisms(graph)
-    return [
-        order
-        for order in itertools.permutations(range(graph.vertex_count))
-        if all(tuple(phi[v] for v in order) >= order for phi in automorphisms)
-    ]
-
-
 @lru_cache(maxsize=None)
-def _order_sum(graph: FeynmanGraph, d: int) -> int:
-    """Sum over all vertex orders of all degree-d balanced coefficients,
-    from one order per automorphism orbit under the integer rule."""
-    automorphisms = vertex_automorphisms(graph)
-    coefficient = integer_coefficients(graph)
-    total = 0
-    for order in order_representatives(graph, automorphisms):
-        series = _integrand(graph, order, d, coefficient)
-        for qexp, coef in series.x_constant_part().items():
-            if sum(qexp) == d:
-                total += coef
-    return total * len(automorphisms)
+def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
+    """f(graph, identity): the sum of the degree-d balanced coefficients
+    under the identity vertex order, in the integer rule."""
+    series = _integrand(graph, tuple(range(graph.vertex_count)), d, integer_coefficients(graph))
+    return sum(coef for qexp, coef in series.x_constant_part().items() if sum(qexp) == d)
 
 
 def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:
@@ -417,13 +409,13 @@ def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:
     for t, c in _vertex_profiles(g):
         quotient_genus = t // 2 + 1
         weight = Fraction(2 ** quotient_genus - (1 if c == 0 else 0), 2 ** (c + 1))
-        for cls in enumerate_graphs(t, c):
-            part = weight * _order_sum(cls.graph, d)
+        for graph in labelled_graphs(t, c):
+            value = _balanced_sum(graph, d)
+            parallel = multiset_automorphisms(graph.edges)
             if reading.automorphism_exponent > 0:
-                part *= cls.automorphism_count
+                total += weight * value * len(vertex_automorphisms(graph)) ** 2 * parallel
             else:
-                part /= cls.automorphism_count
-            total += part
+                total += weight * Fraction(value, parallel)
     if reading.genus_factor_exponent > 0:
         return total * 2 ** (g - 1)
     return total / 2 ** (g - 1)
@@ -478,15 +470,15 @@ def generating_series_coefficient(d: int, g: int) -> Fraction:
 
 
 def generating_series_export(g: int, max_degree: int) -> dict:
-    """JSON-ready view of the genus-g series up to the given degree."""
+    """JSON-ready view of the genus-g series up to the given degree; every
+    coefficient passes generating_series_coefficient's checks."""
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
-    reading = _default_reading()
     coefficients = [
-        (d, str(_assemble(d, g, reading))) for d in range(1, max_degree + 1)
+        (d, str(generating_series_coefficient(d, g))) for d in range(1, max_degree + 1)
     ]
     return {
         "g": g,
         "coefficients": coefficients,
-        "normalization_reading": reading.describe(),
+        "normalization_reading": normalization_reading(),
     }

@@ -1,10 +1,12 @@
-"""Connected multigraphs with 2- and 3-valent vertices, up to isomorphism.
+"""Connected multigraphs with 2- and 3-valent vertices.
 
 These are the combinatorial types underlying quotient covers: vertices of
 valence 3 (simple branch vertices) and valence 2 (images of 4-valent
-vertices upstairs).  Enumeration is brute force — vertex counts at desk
-scale are tiny — with isomorphism rejection via a minimal canonical form
-over all degree-preserving vertex bijections.
+vertices upstairs).  Both graph pipelines run over ``labelled_graphs``:
+every such graph on the positions 0..s-1, for every placement of the
+valences, each edge multiset once.  ``enumerate_graphs`` gives isomorphism
+classes (3-valent vertices first) by a minimal canonical form over the
+degree-preserving vertex bijections; no counting path needs them.
 
 Automorphism counts are multigraph automorphisms: vertex bijections fixing
 the edge multiset, times permutations of parallel edges, times a factor 2
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 
 
@@ -173,10 +176,17 @@ def canonical_form(graph: FeynmanGraph, maps=None) -> tuple:
     return best
 
 
-def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> list:
-    """One GraphClass per isomorphism type of connected multigraph whose
-    degree sequence has exactly `three_valent` vertices of valence 3 and
-    `two_valent` of valence 2 (the 3-valent ones get the low labels)."""
+@lru_cache(maxsize=None)
+def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
+    """Every connected multigraph on the positions 0..s-1 with
+    `three_valent` vertices of valence 3 and `two_valent` of valence 2, for
+    every choice of the 3-valent positions, each edge multiset once.
+
+    The least vertex with open valence takes the next edge; its partner is
+    itself (a loop) or a later open vertex, never smaller than the partner
+    of the edge it took before.  So a multiset is built in one way only,
+    vertex by vertex in sorted edge order, and needs no canonical form.
+    """
     if three_valent < 0 or two_valent < 0 or three_valent + two_valent < 1:
         raise ValueError("need a positive number of vertices")
     total = 3 * three_valent + 2 * two_valent
@@ -186,50 +196,47 @@ def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = Fal
             "vertices" % (total, three_valent, two_valent)
         )
     s = three_valent + two_valent
-    target = [3] * three_valent + [2] * two_valent
+    out = []
+    chosen = []
 
-    candidates = [
-        (u, v)
-        for u in range(s)
-        for v in range(u if allow_loops else u + 1, s)
-    ]
-    # normalize loops to (u, u); candidate list is lex-sorted pairs
-    candidates = sorted(tuple(sorted(p)) for p in candidates)
-
-    found = {}
-    maps = _degree_preserving_maps(target)
-
-    def rec(start, remaining, chosen):
-        if all(x == 0 for x in remaining):
-            g = FeynmanGraph(s, tuple(chosen))
-            if not g.is_connected():
-                return
-            canon = canonical_form(g, maps)
-            if canon not in found:
-                rep = FeynmanGraph(s, canon)
-                found[canon] = GraphClass(rep, automorphism_count(rep, maps))
+    def rec(v, floor):
+        while v < s and remaining[v] == 0:
+            v, floor = v + 1, v + 1
+        if v == s:
+            if connected(s, chosen):
+                out.append(FeynmanGraph(s, tuple(chosen)))
             return
-        for i in range(start, len(candidates)):
-            u, v = candidates[i]
-            if u == v:
-                if remaining[u] < 2:
-                    continue
-                remaining[u] -= 2
-            else:
-                if remaining[u] < 1 or remaining[v] < 1:
-                    continue
-                remaining[u] -= 1
-                remaining[v] -= 1
-            chosen.append((u, v))
-            rec(i, remaining, chosen)
+        for u in range(floor, s):
+            if remaining[u] < 1 + (u == v) or (u == v and not allow_loops):
+                continue
+            remaining[v] -= 1
+            remaining[u] -= 1
+            chosen.append((v, u))
+            rec(v, u)
             chosen.pop()
-            if u == v:
-                remaining[u] += 2
-            else:
-                remaining[u] += 1
-                remaining[v] += 1
+            remaining[v] += 1
+            remaining[u] += 1
 
-    rec(0, list(target), [])
+    for placed in combinations(range(s), three_valent):
+        remaining = [3 if v in placed else 2 for v in range(s)]
+        rec(0, 0)
+    return tuple(out)
+
+
+def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> list:
+    """One GraphClass per isomorphism type of connected multigraph whose
+    degree sequence has exactly `three_valent` vertices of valence 3 and
+    `two_valent` of valence 2: the canonical forms of the labelled graphs
+    whose 3-valent vertices get the low labels."""
+    target = [3] * three_valent + [2] * two_valent
+    labelled = labelled_graphs(three_valent, two_valent, allow_loops)
+    maps = _degree_preserving_maps(target)
+    found = {}
+    for graph in (g for g in labelled if g.degrees() == target):
+        canon = canonical_form(graph, maps)
+        if canon not in found:
+            rep = FeynmanGraph(len(target), canon)
+            found[canon] = GraphClass(rep, automorphism_count(rep, maps))
     return [found[c] for c in sorted(found)]
 
 

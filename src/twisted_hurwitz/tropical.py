@@ -19,15 +19,14 @@ weights = outgoing germ weights), and the cover is connected.  Two covers
 are the same iff their edge multisets agree — positions are pinned, so
 covers differing by which branch point a vertex sits over are distinct.
 
-The quotients are built from graph types rather than searched edge by
-edge: every connected multigraph with 2- and 3-valent vertices from
-graphs.enumerate_graphs (the graph-sum pipeline's enumerator), relabelled
-onto the positions in every distinct way, and each edge then given an
-orientation, a weight w <= d and a crossing count k under the budget
-sum(w*k) = d.  Balance at a vertex is checked as soon as its last incident
-edge is decorated.  Loops occur only at g = 2: a loop balances only at a
-lone 2-valent vertex, while at a 3-valent vertex it leaves the third germ
-unbalanced.
+The quotients are built from graphs rather than searched edge by edge:
+every connected multigraph on the positions with one 2- or 3-valent
+vertex per position, from graphs.labelled_graphs (the list the graph sum
+integrates over), has each edge given an orientation, a weight w <= d and
+a crossing count k under the budget sum(w*k) = d.  Balance at a vertex is
+checked as soon as its last incident edge is decorated.  Loops occur
+only at g = 2: a loop balances only at a lone 2-valent vertex, while at a
+3-valent vertex it leaves the third germ unbalanced.
 
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
@@ -65,15 +64,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from operator import xor
 
 from .graphs import (
     FeynmanGraph,
     connected,
-    enumerate_graphs,
+    labelled_graphs,
     multiset_automorphisms,
-    relabel,
     vertex_profiles,
 )
 
@@ -115,23 +113,19 @@ def _two_valent_weights(edges, s):
 
 def _enumerate_multisets(d, g):
     """All balanced connected degree-d edge multisets with one 2- or
-    3-valent vertex per position, as sorted tuples, ascending: graph types
-    x position labels x (orientation, weight, crossings) per edge, with
-    balance checked at each vertex's last edge and loops only at g = 2."""
+    3-valent vertex per position, as sorted tuples, ascending: labelled
+    graphs x (orientation, weight, crossings) per edge, with balance
+    checked at each vertex's last edge and loops only at g = 2."""
     s = g - 1
-    labelled = set()
-    for t, c in vertex_profiles(g):
-        for cls in enumerate_graphs(t, c, allow_loops=g == 2):
-            for perm in permutations(range(s)):
-                labelled.add(relabel(cls.graph, perm).edges)
     results = []
-    for pairs in labelled:
-        results.extend(_decorations(pairs, s, d))
+    for t, c in vertex_profiles(g):
+        for graph in labelled_graphs(t, c, allow_loops=g == 2):
+            results.extend(_decorations(graph.edges, s, d))
     return sorted(results)
 
 
 def _decorations(pairs, s, d):
-    """Edge multisets (i, j, k, w) over the labelled edge set `pairs` with
+    """Edge multisets (i, j, k, w) over the sorted edge pairs `pairs` with
     sum of w*k equal to d, balanced at every position.  A position's balance
     is checked as soon as its last incident edge is decorated; parallel
     edges take non-decreasing decorations so each multiset appears once."""

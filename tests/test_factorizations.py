@@ -11,7 +11,7 @@ from math import factorial
 
 import pytest
 
-from twisted_hurwitz import perms
+from twisted_hurwitz import factorizations, perms
 from twisted_hurwitz.factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -213,6 +213,38 @@ def test_budget_exceeded_reports_projection():
         list(enumerate_twisted_tuples(3, 4, budget=10))
     with pytest.raises(BudgetExceeded):
         count_classical(3, 3, budget=10)
+
+
+def test_budget_projections_use_closed_forms():
+    # the projections (some are 0, so budget -1 refuses all) equal the
+    # sizes of the tables they stand in for
+    for d in range(1, 6):
+        etas, _, alphas, sigmas = _twisted_tables(d)
+        group, swaps = factorizations._classical_tables(d)
+        for g in (1, 2, 3, 4):
+            with pytest.raises(BudgetExceeded) as twisted:
+                count_twisted(d, g, budget=-1)
+            assert twisted.value.projected == len(sigmas) * len(etas) ** (g - 1) * len(alphas)
+            with pytest.raises(BudgetExceeded) as classical:
+                count_classical(d, g, budget=-1)
+            assert classical.value.projected == (
+                len(group) ** 2 * max(len(swaps), 1) ** (2 * g - 2)
+            )
+
+
+def test_budget_refusal_builds_no_tables(monkeypatch):
+    def no_tables(d):
+        raise AssertionError("a refused query built the degree-%d tables" % d)
+
+    monkeypatch.setattr(factorizations, "_twisted_tables", no_tables)
+    monkeypatch.setattr(factorizations, "_classical_tables", no_tables)
+    for g in (2, 3):
+        with pytest.raises(BudgetExceeded):
+            count_twisted(8, g, budget=10)
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_twisted_tuples(8, g, budget=10))
+        with pytest.raises(BudgetExceeded):
+            count_classical(8, g, budget=10)
 
 
 def test_budget_env_respected(monkeypatch):

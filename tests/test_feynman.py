@@ -2,11 +2,10 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from twisted_hurwitz import feynman
+from twisted_hurwitz import feynman, graphs, tropical
 from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.feynman import (
     ANCHOR_POINTS,
@@ -19,12 +18,18 @@ from twisted_hurwitz.feynman import (
     generating_series_export,
     integer_coefficients,
     normalization_reading,
-    order_representatives,
     oriented_edges,
     propagator,
     propagator_coefficient,
 )
-from twisted_hurwitz.graphs import enumerate_graphs, vertex_automorphisms, vertex_profiles
+from twisted_hurwitz.graphs import (
+    canonical_form,
+    enumerate_graphs,
+    labelled_graphs,
+    relabel,
+    vertex_automorphisms,
+    vertex_profiles,
+)
 from twisted_hurwitz.radicals import RadicalScalar
 
 
@@ -197,27 +202,42 @@ def test_integer_rule_designates_one_edge_per_twovalent_vertex():
     assert [integer_coefficients(theta)(e, 1) for e in oriented_edges(theta, (0, 1))] == [1] * 3
 
 
-def test_orbit_sum_equals_the_sum_over_all_orders():
+def _class_of(graph):
+    """Canonical edges of a labelled graph after moving its 3-valent
+    vertices to the low labels, as in its enumerate_graphs class."""
+    degrees = graph.degrees()
+    ranked = sorted(range(graph.vertex_count), key=lambda v: -degrees[v])
+    mapping = {v: new for new, v in enumerate(ranked)}
+    return canonical_form(relabel(graph, mapping))
+
+
+def test_order_sum_is_the_labelled_identity_sum():
+    # sum over all orders of a class = |VAut| * sum over its labelled graphs
+    # of the identity-order term
     for g in (3, 4, 5, 6):
-        for cls in _graph_classes(g):
-            graph = cls.graph
-            automorphisms = vertex_automorphisms(graph)
-            reps = order_representatives(graph, automorphisms)
-            assert len(reps) * len(automorphisms) == factorial(graph.vertex_count)
-            coefficient = integer_coefficients(graph)
-            for d in (1, 2):
-                full = sum(
-                    coef
-                    for order in itertools.permutations(range(graph.vertex_count))
-                    for qexp, coef in feynman._integrand(
-                        graph, order, d, coefficient
-                    ).x_constant_part().items()
-                    if sum(qexp) == d
-                )
-                assert feynman._order_sum(graph, d) == full, (graph, d)
+        for t, c in vertex_profiles(g):
+            by_class = {}
+            for graph in labelled_graphs(t, c):
+                by_class.setdefault(_class_of(graph), []).append(graph)
+            classes = enumerate_graphs(t, c)
+            assert sorted(by_class) == [cls.graph.edges for cls in classes]
+            for cls in classes:
+                graph = cls.graph
+                coefficient = integer_coefficients(graph)
+                for d in (1, 2):
+                    full = sum(
+                        coef
+                        for order in itertools.permutations(range(graph.vertex_count))
+                        for qexp, coef in feynman._integrand(
+                            graph, order, d, coefficient
+                        ).x_constant_part().items()
+                        if sum(qexp) == d
+                    )
+                    labelled = sum(feynman._balanced_sum(G, d) for G in by_class[graph.edges])
+                    assert full == len(vertex_automorphisms(graph)) * labelled, (graph, d)
 
 
-def test_order_sum_builds_no_radicals(monkeypatch):
+def test_balanced_sum_builds_no_radicals(monkeypatch):
     built = []
     original = RadicalScalar.__init__
 
@@ -227,12 +247,30 @@ def test_order_sum_builds_no_radicals(monkeypatch):
 
     monkeypatch.setattr(RadicalScalar, "__init__", counting_init)
     for g in (3, 4, 5):
-        for cls in _graph_classes(g):
-            for d in (1, 2, 3):
-                feynman._order_sum.__wrapped__(cls.graph, d)
+        for t, c in vertex_profiles(g):
+            for graph in labelled_graphs(t, c):
+                for d in (1, 2, 3):
+                    feynman._balanced_sum.__wrapped__(graph, d)
     assert built == []
     direct_cover_sum(_theta(), (0, 1), (3, 0, 0))  # the probe does count
     assert built
+
+
+def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
+    normalization_reading()  # calibrate first: its rejected reading may search
+    graphs.labelled_graphs.cache_clear()
+    feynman._balanced_sum.cache_clear()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a counting path ran a canonical form or automorphism search")
+
+    for module in (graphs, feynman, tropical):
+        for name in ("canonical_form", "vertex_automorphisms", "automorphism_count"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    # oracle: the symmetric-group tuple count 983808 over (2*3)!! = 48
+    assert generating_series_coefficient(3, 5) == 20496
+    assert tropical.count_tropical(3, 5) == 20496
 
 
 def test_counts_beyond_the_desk_grid():
@@ -291,3 +329,8 @@ def test_series_export_shape():
     assert out["normalization_reading"] == "2^(g-1) multiplies, #Aut divides"
     with pytest.raises(ValueError):
         generating_series_export(3, 0)
+    # the graph sum needs g > 2, although tropical counts 2 covers at (2, 2)
+    with pytest.raises(ValueError):
+        generating_series_export(2, 3)
+    with pytest.raises(ValueError):
+        generating_series_export(1, 2)

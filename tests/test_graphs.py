@@ -2,12 +2,12 @@
 
 import itertools
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from twisted_hurwitz import graphs
-from twisted_hurwitz.graphs import FeynmanGraph, enumerate_graphs
+from twisted_hurwitz.graphs import FeynmanGraph, enumerate_graphs, labelled_graphs, vertex_profiles
 
 
 def _by_edges(classes):
@@ -147,6 +147,22 @@ def test_orbit_counts_recover_labeled_enumeration(t, c, allow_loops):
     assert labeled_connected == oracle
     if seen:
         assert labeled_connected >= seen
+    # the labelled enumerator: this placement, and all C(s, t) placements
+    labelled = labelled_graphs(t, c, allow_loops=allow_loops)
+    assert sum(1 for graph in labelled if graph.degrees() == target) == oracle
+    assert len(labelled) == comb(s, t) * oracle
+
+
+@pytest.mark.parametrize("g,count", [(3, 2), (4, 4), (5, 40), (6, 472)])
+def test_labelled_graph_counts(g, count):
+    found = [graph for t, c in vertex_profiles(g) for graph in labelled_graphs(t, c)]
+    assert len(found) == count
+    assert len({graph.edges for graph in found}) == count
+    for graph in found:
+        assert graph.is_connected()
+        assert graph.vertex_count == g - 1
+        assert set(graph.degrees()) <= {2, 3}
+        assert graph.loop_count() == 0
 
 
 def test_canonical_form_is_relabeling_invariant():
