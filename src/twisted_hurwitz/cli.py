@@ -136,11 +136,10 @@ def _checked_budget(budget, err):
         return None
 
 
-def _compute_value(method, d, g, connected, budget, threads):
+def _compute_value(method, d, g, connected, budget):
     """(value, normalization_reading_label) for one query."""
     if method == "symgroup":
-        result = count_twisted(d, g, connected=connected, budget=budget, threads=threads)
-        return result.value, ""
+        return count_twisted(d, g, connected=connected, budget=budget).value, ""
     if method == "tropical":
         return count_tropical(d, g), ""
     if method == "feynman":
@@ -209,9 +208,7 @@ def cmd_compute(args, out=None, err=None) -> int:
             return EXIT_INCOMPATIBLE
     start = time.perf_counter()
     try:
-        value, reading = _compute_value(
-            args.method, args.degree, args.genus, connected, budget, args.threads
-        )
+        value, reading = _compute_value(args.method, args.degree, args.genus, connected, budget)
     except BudgetExceeded as exc:
         print("step budget exceeded: %s" % exc, file=err)
         return EXIT_BUDGET
@@ -252,14 +249,8 @@ def cmd_validate(args, out=None, err=None) -> int:
                     skips += 1
                     return None
 
-            sym_conn = guarded(
-                lambda: count_twisted(d, g, connected=True, budget=budget,
-                                      threads=args.threads).value
-            )
-            sym_disc = guarded(
-                lambda: count_twisted(d, g, connected=False, budget=budget,
-                                      threads=args.threads).value
-            )
+            sym_conn = guarded(lambda: count_twisted(d, g, connected=True, budget=budget).value)
+            sym_disc = guarded(lambda: count_twisted(d, g, connected=False, budget=budget).value)
             trop = count_tropical(d, g) if g >= 2 else None
             feyn = generating_series_coefficient(d, g) if g > 2 else None
             fock = elliptic_disconnected(d, g)
@@ -364,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     compute.add_argument("--budget", type=int, default=None,
                          help="step budget (overrides TH_BUDGET)")
-    compute.add_argument("--threads", type=int, default=1)
+    compute.add_argument("--threads", type=int, default=1,
+                         help="ignored: every count runs in one process")
     _add_cache_flag(compute)
     compute.set_defaults(func=cmd_compute)
 
@@ -372,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("-d", "--d-max", type=int, required=True)
     validate.add_argument("-g", "--g-max", type=int, required=True)
     validate.add_argument("--budget", type=int, default=None)
-    validate.add_argument("--threads", type=int, default=1)
     validate.set_defaults(func=cmd_validate)
 
     export = sub.add_parser("export-covers", help="write quotient covers as JSON or DOT")

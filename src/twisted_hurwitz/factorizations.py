@@ -50,7 +50,10 @@ both sides of the equation alike; and it relabels the points, which keeps
 transitivity.  The count for sigma therefore depends only on the B_d-orbit
 of sigma, and the total is the sum over orbit representatives of orbit size
 times the representative's count (`_sigma_orbits`: 15 sigmas fall into 3
-orbits at d=3, 105 into 5 at d=4, 945 into 7 at d=5).
+orbits at d=3, 105 into 5 at d=4, 945 into 7 at d=5).  The whole count runs
+in one process: the representatives share one memoised layer, so splitting
+them over worker processes would only make each worker rebuild the tables
+and the layer.
 
 The classical count runs the same layer builder with E = tau_{2g-2} * ...
 * tau_1 in S_d, product E * sigma (the right factor stays the identity),
@@ -66,7 +69,6 @@ may be overridden per call or via the TH_BUDGET environment variable.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -276,21 +278,13 @@ def count_for_sigma(sigma, etas, eta_taus, alphas, lookup, depth, connected):
     return _finish(layer, sigma, alphas, lookup, connected)
 
 
-def _count_orbit_range(args):
-    """Worker: orbit size times count over the B_d-orbit representatives
-    [lo:hi].  Rebuilds tables locally so only small picklable arguments
-    cross the process boundary."""
-    d, g, connected, lo, hi = args
-    etas, eta_taus, alphas, _ = _twisted_tables(d)
-    total = 0
-    for sigma, size in _sigma_orbits(d)[lo:hi]:
-        lookup = _alpha_lookup(sigma, alphas)
-        total += size * count_for_sigma(sigma, etas, eta_taus, alphas, lookup, g - 1, connected)
-    return total
-
-
 def count_twisted(d, g, connected=True, budget=None, threads=1):
-    """Twisted degree-d genus-g count as an exact Fraction (in a HurwitzResult)."""
+    """Twisted degree-d genus-g count as an exact Fraction (in a HurwitzResult).
+
+    The count runs in this process: every sigma shares the one memoised
+    layer, so there is no per-sigma work worth spreading over processes.
+    *threads* is accepted for compatibility and ignored.
+    """
     _check_dg(d, g)
     limit = resolve_budget(budget)
     projected = _twisted_projected(d, g)
@@ -298,17 +292,13 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         raise BudgetExceeded(projected, limit)
 
     start = perf_counter()
-    reps = len(_sigma_orbits(d))
-    if threads > 1 and reps > 1:
-        workers = min(threads, reps)
-        step = -(-reps // workers)
-        blocks = [
-            (d, g, connected, lo, min(lo + step, reps)) for lo in range(0, reps, step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_count_orbit_range, blocks))
-    else:
-        total = _count_orbit_range((d, g, connected, 0, reps))
+    etas, eta_taus, alphas, _ = _twisted_tables(d)
+    total = sum(
+        size * count_for_sigma(
+            sigma, etas, eta_taus, alphas, _alpha_lookup(sigma, alphas), g - 1, connected
+        )
+        for sigma, size in _sigma_orbits(d)
+    )
     elapsed = (perf_counter() - start) * 1000.0
 
     norm = 2**d * factorial(d)

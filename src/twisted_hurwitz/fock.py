@@ -31,6 +31,13 @@ would double-count it, as the cross-check against the factorization pipeline
 shows.  Only even exponents g-c+1 may carry nonzero coefficients; a nonzero
 coefficient at odd g-c+1 signals a transcription bug and raises
 ParityViolation instead of being silently skipped.
+
+Every matrix element is a polynomial with integer coefficients: alpha_{-k}
+inserts a part k with coefficient 1, alpha_k removes one with coefficient
+k * m_k (m_k the number of parts equal to k), and M's own coefficients are
+2(k-1) and 1 once its 2 * 1/2 prefactor is cancelled against the ordered
+pairs (i, j).  So the z-polynomials hold ints, and Fraction enters only in
+the prefactor sum and the final divisions.
 """
 
 from __future__ import annotations
@@ -83,23 +90,22 @@ def parts_product(mu):
 
 
 class ZPoly:
-    """Polynomial in z with Fraction coefficients, dict {exponent: coeff}."""
+    """Polynomial in z, dict {exponent: coeff}.  Coefficients are kept as
+    given (ints on every path of this module) and zeros are dropped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {
-            e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0
-        }
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
     def const(cls, c):
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return ZPoly(out)
 
     def __mul__(self, other):
@@ -107,21 +113,17 @@ class ZPoly:
             out = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
             return ZPoly(out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return ZPoly({e: v * Fraction(c) for e, v in self.coeffs.items()})
-
-    def shift(self, k=1):
-        """Multiply by z^k."""
-        return ZPoly({e + k: v for e, v in self.coeffs.items()})
+        return ZPoly({e: v * c for e, v in self.coeffs.items()})
 
     def coefficient(self, e):
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def degree(self):
         return max(self.coeffs, default=0)
@@ -248,36 +250,41 @@ def apply_m(v, energy_cap):
 
     energy_cap bounds the partition sizes that may appear; since M preserves
     the energy grading this is a precondition check, not a truncation.
+    Every term sends b_mu to an integer multiple of one basis vector; the
+    terms are summed into one dict and the vector is built once.
     """
     for mu in v.terms:
         if sum(mu) > energy_cap:
             raise ValueError(
                 "vector has energy %d above cap %d" % (sum(mu), energy_cap)
             )
-    out = FockVector.zero()
+    out = {}  # partition -> {z exponent: coefficient}
+
+    def add(nu, factor, shift, poly):
+        acc = out.setdefault(nu, {})
+        for e, c in poly.coeffs.items():
+            acc[e + shift] = acc.get(e + shift, 0) + factor * c
+
     for mu, poly in v.terms.items():
-        base = FockVector({mu: poly})
-        # 2 z sum_k (k-1) alpha_{-k} alpha_k
-        for k in sorted(set(mu)):
-            if k == 1:
-                continue
-            term = apply_alpha(-k, apply_alpha(k, base))
-            out = out + term.scale(ZPoly({1: Fraction(2 * (k - 1))}))
-        # sum over ordered pairs i,j>0 (the operator's 2 * 1/2 prefactor
-        # cancels against unordering): alpha_{-j} alpha_{-i} alpha_{i+j}
-        # (cut a part into two)
-        for k in sorted(set(mu)):
-            cut = apply_alpha(k, base)
+        for k in set(mu):
+            rest = list(mu)
+            rest.remove(k)
+            lowered = k * mu.count(k)  # alpha_k b_mu = lowered * b_rest
+            # 2 z (k-1) alpha_{-k} alpha_k
+            if k > 1:
+                add(mu, 2 * (k - 1) * lowered, 1, poly)
+            # sum over ordered pairs i,j>0 (the operator's 2 * 1/2 prefactor
+            # cancels against unordering): alpha_{-j} alpha_{-i} alpha_{i+j}
+            # (cut a part into two)
             for i in range(1, k):
-                out = out + apply_alpha(-(k - i), apply_alpha(-i, cut))
-        # alpha_{-(i+j)} alpha_i alpha_j  (join two parts)
-        for j in sorted(set(mu)):
-            once = apply_alpha(j, base)
-            for i in sorted({p for m2 in once.terms for p in m2}):
-                joined = apply_alpha(i, once)
-                if joined:
-                    out = out + apply_alpha(-(i + j), joined)
-    return out
+                add(tuple(sorted(rest + [i, k - i], reverse=True)), lowered, 0, poly)
+            # alpha_{-(i+j)} alpha_i alpha_j  (join two parts)
+            for i in set(rest):
+                joined = list(rest)
+                joined.remove(i)
+                nu = tuple(sorted(joined + [i + k], reverse=True))
+                add(nu, lowered * i * rest.count(i), 0, poly)
+    return FockVector({mu: ZPoly(coeffs) for mu, coeffs in out.items()})
 
 
 def matrix_element(mu, nu, power):

@@ -2,8 +2,8 @@
 
 Permutations are plain tuples ``p`` with ``p[i]`` the image of point ``i``.
 Points are 0-based in memory; the cycle helpers (`from_cycles`, `cycles_str`)
-and the serialization helper (`one_line`) speak the 1-based notation used in
-the literature, so worked examples can be transcribed verbatim.
+speak the 1-based notation used in the literature, so worked examples can be
+transcribed verbatim.
 
 Composition is right-to-left throughout the package:
 
@@ -121,11 +121,6 @@ def cycles_str(p: Perm) -> str:
     return "".join(parts) if parts else "e"
 
 
-def one_line(p: Perm) -> tuple:
-    """1-based one-line notation for serialization."""
-    return tuple(x + 1 for x in p)
-
-
 # ---------------------------------------------------------------------------
 # the pairing involution tau and its companion subgroups
 
@@ -144,13 +139,6 @@ def is_in_hyperoctahedral(p: Perm, d: int) -> bool:
     return conjugate(tau, p) == tau
 
 
-def is_twist_symmetric(p: Perm, d: int) -> bool:
-    """Does tau * p * tau == p^{-1}?"""
-    _check_size(p, d)
-    tau = pairing_involution(d)
-    return compose(tau, compose(p, tau)) == inverse(p)
-
-
 def has_self_paired_cycle(p: Perm, d: int) -> bool:
     """True if some cycle of p has support invariant under the pairing."""
     tau = pairing_involution(d)
@@ -158,11 +146,6 @@ def has_self_paired_cycle(p: Perm, d: int) -> bool:
         if {tau[x] for x in c} == set(c):
             return True
     return False
-
-
-def is_twist_admissible(p: Perm, d: int) -> bool:
-    """Membership in B~_d: twist-symmetric with no self-paired cycle."""
-    return is_twist_symmetric(p, d) and not has_self_paired_cycle(p, d)
 
 
 def hyperoctahedral_group(d: int) -> list:

@@ -23,8 +23,9 @@ The quotients are built from graphs rather than searched edge by edge:
 every connected multigraph on the positions with one 2- or 3-valent
 vertex per position, from graphs.labelled_graphs (the list the graph sum
 integrates over), has each edge given an orientation, a weight w <= d and
-a crossing count k under the budget sum(w*k) = d.  Balance at a vertex is
-checked as soon as its last incident edge is decorated.  Loops occur
+a crossing count k under the budget sum(w*k) = d.  The last edge at a
+vertex must balance it, so its weight is read from the balance rather
+than searched (a loop moves no weight and tries every w).  Loops occur
 only at g = 2: a loop balances only at a lone 2-valent vertex, while at a
 3-valent vertex it leaves the third germ unbalanced.
 
@@ -34,15 +35,11 @@ edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
 edge lifts to two copies swapped by the involution.  The only discrete
 choice is a gluing sign for each edge whose endpoints are both doubled
 (an e33 edge): "straight" joins + to + and - to -, "crossed" joins + to -.
-The lift classes are found on the sign vectors themselves (lift_classes
-derives the details).  Flipping the + and - lifts of a set f of doubled
-positions toggles the signs of the e33 edges with one endpoint in f and
-only permutes the lifts of every other edge, so the class key is the
-minimum over all f of the sorted (edge, sign) pairs of the e33 edges, and
+The lift classes are the orbits of the group G of vertex flips and
+permutations of equal edges acting on the sign vectors, and by
+orbit-stabilizer (lift_classes derives the details)
 
-    |Aut| = #{f fixing the key} * prod n! over groups of n equal
-            (edge, sign) pairs and of n equal other edges
-            * 2^{#edges with both endpoints 2-valent}.
+    |Aut| = |G| / |orbit| * 2^{#lift pairs whose two lifts coincide}.
 
 Each twisted cover pi is counted with multiplicity
 
@@ -61,7 +58,6 @@ the left side from explicit lifts.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -128,7 +124,8 @@ def _decorations(pairs, s, d):
     """Edge multisets (i, j, k, w) over the sorted edge pairs `pairs` with
     sum of w*k equal to d, balanced at every position.  A position's balance
     is checked as soon as its last incident edge is decorated; parallel
-    edges take non-decreasing decorations so each multiset appears once."""
+    edges take non-decreasing decorations so each multiset appears once.
+    A closing non-loop edge takes the one weight that balances it."""
     closes = [[] for _ in pairs]
     for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items():
         closes[n].append(v)
@@ -144,19 +141,23 @@ def _decorations(pairs, s, d):
         u, v = pairs[n]
         floor = chosen[-1] if n and pairs[n - 1] == pairs[n] else ()
         for i, j in {(u, v), (v, u)}:  # a loop has one orientation
-            for w in range(1, d + 1):
-                for k in range(0 if i < j else 1, budget // w + 1):
-                    e = (i, j, k, w)
-                    if e < floor:
-                        continue
-                    net[i] += w
-                    net[j] -= w
-                    if all(net[x] == 0 for x in closes[n]):
+            weights = range(1, d + 1)
+            if i != j and closes[n]:
+                w = -net[i] if i in closes[n] else net[j]
+                weights = (w,) if 1 <= w <= d else ()
+            for w in weights:
+                net[i] += w
+                net[j] -= w
+                if all(net[x] == 0 for x in closes[n]):
+                    for k in range(0 if i < j else 1, budget // w + 1):
+                        e = (i, j, k, w)
+                        if e < floor:
+                            continue
                         chosen.append(e)
                         rec(n + 1, budget - w * k)
                         chosen.pop()
-                    net[i] -= w
-                    net[j] += w
+                net[i] -= w
+                net[j] += w
 
     rec(0, d)
     return out
@@ -191,23 +192,26 @@ def lift_classes(edges, s):
     Lift vertices are (v,+) and (v,-) for a doubled position v and one
     (v,o) for a 2-valent one.  Flipping a set f of doubled positions swaps
     their + and - and toggles the sign of every e33 edge with exactly one
-    endpoint in f; every other edge lifts to a pair that a flip only
-    permutes.  Two sign vectors therefore give isomorphic lifts iff some f
-    carries the multiset of (edge, sign) pairs over the e33 edges of one to
-    that of the other: the class key is the minimum of that sorted tuple
-    over all flip sets.  An automorphism is a flip f fixing the key
-    together with an involution-equivariant edge matching, which sends each
-    lift pair to a lift pair of an equal edge carrying the flipped sign.
-    Where the pair's two lifts differ, exactly one of its two ways of
-    mapping onto the target pair fits; where they coincide (both endpoints
-    2-valent, or a crossed loop) both do.  So |Aut| is the number of flip
-    sets fixing the key, times n! per group of n equal (edge, sign) pairs
-    and per group of n equal other edges, times 2 per coinciding pair.
+    endpoint in f (every other edge lifts to a pair that a flip only
+    permutes); permuting equal quotient edges permutes their signs.  These
+    form a group G of order 2^{#doubled} * prod m! over groups of m equal
+    edges, and two sign vectors give isomorphic lifts iff they share a
+    G-orbit.  The sorted (edge, sign) pairs of the e33 edges (the key) fix
+    a vector up to the permutations, so an orbit is the set of vectors
+    whose key is that of a flip of one member.  An automorphism is an
+    element of G fixing the signs together with a matching of each lift
+    pair onto its image: one where the pair's two lifts differ, two where
+    they coincide (both endpoints 2-valent, or a crossed loop).  So by
+    orbit-stabilizer |Aut| = |G| / |orbit| * 2^{#coinciding pairs}.
+
+    Each sign vector is visited once, in ascending order: a known key
+    counts it in its orbit, a new one opens an orbit with the vector as
+    representative, records the keys of all its flips and tests
+    connectivity, an orbit invariant like the coinciding pairs.
     """
     germs = _germ_counts(edges, s)
     e33 = e33_indices(edges, s)
     glued = [edges[x] for x in e33]
-    rest = multiset_automorphisms(e for x, e in enumerate(edges) if x not in e33)
     # lift vertex numbers: (v,+) is plus[v] and (v,-) is minus[v]; (v,o) is both
     plus, minus, n = {}, {}, 0
     for v in range(s):
@@ -215,12 +219,12 @@ def lift_classes(edges, s):
             plus[v], minus[v] = n, n + _doubled(germs, v)
             n = minus[v] + 1
     doubled = [v for v in plus if plus[v] != minus[v]]
-    flips = [
-        {v for v, b in zip(doubled, bits) if b}
-        for bits in iproduct((0, 1), repeat=len(doubled))
-    ]
-    # the sign toggles of the flip sets, with how many flip sets give each
-    toggles = Counter(tuple((i in f) ^ (j in f) for i, j, _k, _w in glued) for f in flips)
+    group_order = 2 ** len(doubled) * multiset_automorphisms(edges)
+    # the sign toggles of the flip sets
+    toggles = {
+        tuple(f[i] ^ f[j] for i, j, _k, _w in glued)
+        for f in (dict(zip(doubled, bits)) for bits in iproduct((0, 1), repeat=len(doubled)))
+    }
 
     def key(signs):
         return tuple(sorted(zip(glued, signs)))
@@ -232,22 +236,23 @@ def lift_classes(edges, s):
             a, b = (minus, plus) if sign.get(x) else (plus, minus)
             yield (plus[i], a[j]), (minus[i], b[j])
 
-    seen = {}
-    connected_count = 0
+    orbits = []  # [representative, size, connected]
+    orbit_of = {}  # key -> its orbit
     for signs in iproduct((STRAIGHT, CROSSED), repeat=len(e33)):
-        if not connected(n, (p for pair in lifts(signs) for p in pair)):
-            continue
-        connected_count += 1
-        keys = {t: key(map(xor, signs, t)) for t in toggles}
-        canon = min(keys.values())
-        if canon not in seen:
-            own = key(signs)
-            aut = sum(m for t, m in toggles.items() if keys[t] == own)
-            aut *= multiset_automorphisms(own) * rest
-            aut *= 2 ** sum(sorted(p) == sorted(q) for p, q in lifts(signs))
-            seen[canon] = (signs, aut)
+        orbit = orbit_of.get(key(signs))
+        if orbit is None:
+            orbit = [signs, 0, connected(n, (p for pair in lifts(signs) for p in pair))]
+            orbits.append(orbit)
+            for t in toggles:
+                orbit_of[key(map(xor, signs, t))] = orbit
+        orbit[1] += 1
 
-    classes = sorted(seen.values())
+    classes = sorted(
+        (signs, group_order // size * 2 ** sum(sorted(p) == sorted(q) for p, q in lifts(signs)))
+        for signs, size, joined in orbits
+        if joined
+    )
+    connected_count = sum(size for _signs, size, joined in orbits if joined)
     return classes, connected_count, 2 ** len(e33)
 
 

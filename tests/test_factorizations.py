@@ -5,6 +5,7 @@ Frozen values marked "oracle:" were recomputed by an independent pipeline
 themselves run in test_acceptance.py.
 """
 
+import concurrent.futures
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -127,6 +128,15 @@ def test_threads_do_not_change_the_answer():
     one = count_twisted(2, 3, threads=1)
     two = count_twisted(2, 3, threads=2)
     assert (one.tuple_count, one.value) == (two.tuple_count, two.value)
+
+
+
+def test_count_runs_in_one_process(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("count_twisted started a process pool")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", refuse)
+    assert count_twisted(3, 3, threads=4).value == CONNECTED[(3, 3)]
 
 
 # -- the layered count against independent paths --------------------------------

@@ -108,6 +108,14 @@ def test_matrix_element_values():
     assert matrix_element((2, 1), (3,), 1) == 12
 
 
+def test_matrix_elements_have_int_coefficients():
+    for n in range(6):
+        for mu in partitions(n):
+            for power in range(4):
+                coeffs = matrix_element(mu, mu, power).coeffs.values()
+                assert all(type(c) is int for c in coeffs), (mu, power)
+
+
 def test_energy_conservation():
     for mu in BASIS:
         for nu in BASIS:

@@ -1,6 +1,7 @@
 """Tropical pipeline: quotient covers, lift classes, multiplicities."""
 
 import hashlib
+import itertools
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -158,6 +159,74 @@ def test_quotient_closed_form_matches_lift_sum_per_quotient():
             assert quotient_multiplicity(edges, g) == total
     # the unique quotient of degree 2, genus 3 with two 4-valent vertices
     assert quotient_multiplicity(((0, 1, 0, 2), (1, 0, 1, 2)), 3) == 4
+
+
+def _brute_automorphisms(edges, s, signs):
+    """Automorphisms of one explicit double cover, counted one by one: a
+    flip set f (swapping (v,+) and (v,-) for v in f) together with a
+    bijection of the lifted edges that commutes with the involution, keeps
+    each edge's quotient label and sends every lifted edge onto one joining
+    the flipped images of its endpoints."""
+    germs = Counter(v for i, j, _k, _w in edges for v in (i, j))
+    doubled = [v for v in range(s) if germs[v] not in (0, 2)]
+    sign = dict(zip(tropical.e33_indices(edges, s), signs))
+
+    def lift(v, half):  # half 0 is +, 1 is -; a 2-valent vertex has one lift
+        return (v, half if v in doubled else None)
+
+    # the two lifts of each quotient edge, as (tail, head); the involution swaps them
+    lifted = [
+        [(lift(i, h), lift(j, h ^ sign.get(x, 0))) for h in (0, 1)]
+        for x, (i, j, _k, _w) in enumerate(edges)
+    ]
+    groups = defaultdict(list)
+    for x, e in enumerate(edges):
+        groups[e].append(x)
+    total = 0
+    for bits in itertools.product((0, 1), repeat=len(doubled)):
+        f = {v for v, b in zip(doubled, bits) if b}
+
+        def image(end):
+            v, half = end
+            return end if half is None else (v, half ^ (v in f))
+
+        for perm in itertools.product(*(itertools.permutations(ix) for ix in groups.values())):
+            target = {x: y for ix, p in zip(groups.values(), perm) for x, y in zip(ix, p)}
+            for swap in itertools.product((0, 1), repeat=len(edges)):
+                total += all(
+                    (image(t), image(h)) == lifted[target[x]][c ^ swap[x]]
+                    for x in range(len(edges))
+                    for c, (t, h) in enumerate(lifted[x])
+                )
+    return total
+
+
+def test_lift_automorphisms_match_brute_force():
+    checked = 0
+    for d in (1, 2, 3):
+        for g in (2, 3, 4, 5):  # at most 6 edges
+            for edges in tropical._enumerate_multisets(d, g):
+                classes, _conn, _total = tropical.lift_classes(edges, g - 1)
+                for signs, aut in classes:
+                    assert _brute_automorphisms(edges, g - 1, signs) == aut, (edges, signs)
+                    checked += 1
+    assert checked > 300
+
+
+def test_lift_classes_test_connectivity_once_per_orbit(monkeypatch):
+    # with a 2-valent vertex every sign vector gives a connected lift, so
+    # each orbit is a class and is tested exactly once
+    calls = []
+    real = tropical.connected
+    monkeypatch.setattr(tropical, "connected", lambda n, pairs: calls.append(n) or real(n, pairs))
+    checked = 0
+    for edges in tropical._enumerate_multisets(3, 5):
+        if 2 in Counter(v for i, j, _k, _w in edges for v in (i, j)).values():
+            calls.clear()
+            classes, _conn, _total = tropical.lift_classes(edges, 4)
+            assert len(calls) == len(classes), edges
+            checked += 1
+    assert checked
 
 
 # -- structural invariants -------------------------------------------------------
