@@ -29,13 +29,14 @@ class ResultCache:
         if not self.path.exists():
             return []
         out = []
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # bytes: a line that is not UTF-8 fails to decode and is skipped
+        with open(self.path, "rb") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode("utf-8"))
                 except ValueError:
                     record = None
                 if not isinstance(record, dict):

@@ -24,6 +24,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -337,7 +338,9 @@ def _add_cache_flag(parser):
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="twisted-hurwitz",
         description="Cross-validating pipelines for twisted elliptic covering counts.",
@@ -358,32 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--threads", type=int, default=1,
                          help="ignored: every count runs in one process")
     _add_cache_flag(compute)
-    compute.set_defaults(func=cmd_compute)
 
     validate = sub.add_parser("validate", help="cross-method identity matrix")
     validate.add_argument("-d", "--d-max", type=int, required=True)
     validate.add_argument("-g", "--g-max", type=int, required=True)
     validate.add_argument("--budget", type=int, default=None)
-    validate.set_defaults(func=cmd_validate)
 
     export = sub.add_parser("export-covers", help="write quotient covers as JSON or DOT")
     export.add_argument("-d", "--degree", type=int, required=True)
     export.add_argument("-g", "--genus", type=int, required=True)
     export.add_argument("--out", required=True, metavar="PATH")
     export.add_argument("--format", choices=("json", "dot"), default="json")
-    export.set_defaults(func=cmd_export_covers)
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache.add_argument("action", choices=("show", "clear"))
     _add_cache_flag(cache)
-    cache.set_defaults(func=cmd_cache)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the handler is looked up per call, not bound into the shared parser
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

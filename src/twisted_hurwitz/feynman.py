@@ -19,6 +19,13 @@ base point, and the total q-degree is the covering degree.  Weights are
 truncated at w <= d, which is lossless: the degree over any point of the
 base bounds every edge weight.
 
+One grading variable.  The graph sum sets every q_k to one q and reads
+the degree-d part, so a series term is keyed by its total q-degree and
+x-exponents only.  The oracle's multidegree needs no per-edge variables
+either: the q_k are independent, so [q_1^a_1...q_r^a_r] prod_k P(q_k) is
+the product of each propagator's degree-a_k part, whose x^0 coefficient
+``feynman_integral`` takes.
+
 Integer weights.  The factor above is w times one sqrt(w-1) per 2-valent
 endpoint, so a monomial of the propagator product (one weight w_k and one
 direction per edge) has coefficient
@@ -63,10 +70,11 @@ with the symmetric-group pipeline on small anchor cases, and the chosen
 reading is reported alongside exported series.
 
 ``feynman_integral`` and ``direct_cover_sum`` keep the radical rule and
-serve as the oracle for the integer one.  Every integral they extract is
-asserted to be rational: the sqrt(w-1) factors produced at 2-valent
-vertices must pair up exactly when the balancing holds, so a surviving
-radical signals a real bug rather than numerical noise.
+per-edge multidegrees, and serve as the oracle for the integer one.
+Every integral they extract is asserted to be rational: the sqrt(w-1)
+factors produced at 2-valent vertices must pair up exactly when the
+balancing holds, so a surviving radical signals a real bug rather than
+numerical noise.
 
 Each labelled graph's term is an independent pure computation; results are
 combined by exact arithmetic in a deterministic order.
@@ -78,6 +86,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .factorizations import DEFAULT_BUDGET, count_twisted
 from .graphs import (FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms,
@@ -159,8 +168,8 @@ class OrientedEdge:
 
     ``tail`` is the endpoint that comes earlier in the order and receives
     the positive x-exponent in the crossing-free part of the propagator.
-    ``index`` selects the q-variable; ``edge_count``/``vertex_count`` fix
-    the arities of the exponent vectors.
+    ``index`` names the edge (for a graph's integer rule and the oracle's
+    multidegree); ``vertex_count`` fixes the arity of the x-exponents.
     """
 
     index: int
@@ -168,7 +177,6 @@ class OrientedEdge:
     head: int
     tail_valence: int
     head_valence: int
-    edge_count: int
     vertex_count: int
 
 
@@ -189,7 +197,6 @@ def oriented_edges(graph: FeynmanGraph, order) -> list:
                 head=head,
                 tail_valence=degrees[tail],
                 head_valence=degrees[head],
-                edge_count=len(graph.edges),
                 vertex_count=graph.vertex_count,
             )
         )
@@ -205,7 +212,7 @@ def _edge_xexp(edge: OrientedEdge, w: int) -> tuple:
 
 def propagator(edge: OrientedEdge, cap: int,
                coefficient=_radical_coefficient) -> TruncatedSeries:
-    """The edge propagator, truncated at total q-degree ``cap``.
+    """The edge propagator in the one variable q, truncated at degree ``cap``.
 
     The crossing-free part (q-degree 0) is also truncated at weight
     w <= cap, which matches the weight bound of a degree-``cap`` cover.
@@ -215,25 +222,18 @@ def propagator(edge: OrientedEdge, cap: int,
     if cap < 1:
         raise ValueError("cap must be at least 1")
     terms = {}
-    zero_q = (0,) * edge.edge_count
-
-    def accumulate(key, coef):
-        acc = terms.get(key)
-        terms[key] = coef if acc is None else acc + coef
-
-    for w in range(1, cap + 1):
-        coef = coefficient(edge, w)
-        if coef:
-            accumulate((zero_q, _edge_xexp(edge, w)), coef)
-    for a in range(1, cap + 1):
-        qe = tuple(a if i == edge.index else 0 for i in range(edge.edge_count))
-        for w in _divisors(a):
+    for a in range(cap + 1):
+        # q^0: every weight up to cap, tail to head; q^a: w | a, both ways
+        weights, signs = (range(1, cap + 1), (1,)) if a == 0 else (_divisors(a), (1, -1))
+        for w in weights:
             coef = coefficient(edge, w)
-            if coef:
-                accumulate((qe, _edge_xexp(edge, w)), coef)
-                accumulate((qe, _edge_xexp(edge, -w)), coef)
+            if not coef:
+                continue
+            for sign in signs:  # the two signs meet only on a loop
+                key = (a, _edge_xexp(edge, sign * w))
+                terms[key] = terms[key] + coef if key in terms else coef
     # the keys are well-formed by construction, so skip the per-term checks
-    series = TruncatedSeries(edge.edge_count, edge.vertex_count, cap)
+    series = TruncatedSeries(edge.vertex_count, cap)
     series.terms = {key: coef for key, coef in terms.items() if coef}
     return series
 
@@ -246,18 +246,9 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
     raise TypeError("expected a FeynmanGraph or GraphClass, got %r" % (graph_or_class,))
 
 
-def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
-               coefficient=_radical_coefficient) -> TruncatedSeries:
-    """x-balanced part of the propagator product under one vertex order,
-    with c_w from ``coefficient`` (as in ``propagator``).
-
-    After each factor, terms whose x-exponent at some vertex exceeds what
-    the remaining edges could still cancel (at most ``cap`` per incident
-    non-loop edge) are dropped.  This never touches an x^0 coefficient of
-    the full product, and the final series consists of exactly those.
-    """
-    edges = oriented_edges(graph, order)
-    vertex_count = graph.vertex_count
+def _slack(edges, vertex_count: int, cap: int) -> list:
+    """Per edge k, the x-exponent that the edges after k can still cancel
+    at each vertex: at most ``cap`` per incident non-loop edge."""
     slack = []
     running = [0] * vertex_count
     for edge in reversed(edges):
@@ -266,28 +257,55 @@ def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
             running[edge.tail] += cap
             running[edge.head] += cap
     slack.reverse()
+    return slack
 
-    series = TruncatedSeries.constant(len(edges), vertex_count, cap, 1)
-    for k, edge in enumerate(edges):
-        series = series * propagator(edge, cap, coefficient)
-        limits = slack[k]
-        kept = {
-            key: coef
-            for key, coef in series.terms.items()
-            if all(abs(x) <= lim for x, lim in zip(key[1], limits))
-        }
-        if len(kept) != len(series.terms):
-            pruned = TruncatedSeries(len(edges), vertex_count, cap)
-            pruned.terms = kept
-            series = pruned
+
+def _times(series: TruncatedSeries, factor: TruncatedSeries, limits) -> TruncatedSeries:
+    """series * factor without the terms whose x-exponent at some vertex
+    exceeds ``limits``, which the remaining edges could not cancel."""
+    product = series * factor
+    product.terms = {key: coef for key, coef in product.terms.items()
+                     if all(abs(x) <= lim for x, lim in zip(key[1], limits))}
+    return product
+
+
+def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
+               coefficient=_radical_coefficient) -> TruncatedSeries:
+    """x-balanced part of the propagator product under one vertex order,
+    with c_w from ``coefficient`` (as in ``propagator``).
+
+    After each factor, terms whose x-exponent at some vertex exceeds what
+    the remaining edges could still cancel are dropped (``_times``).  This
+    never touches an x^0 coefficient of the full product, and the final
+    series consists of exactly those.
+    """
+    edges = oriented_edges(graph, order)
+    series = TruncatedSeries.constant(graph.vertex_count, cap, 1)
+    for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
+        series = _times(series, propagator(edge, cap, coefficient), limits)
     return series
 
 
 @lru_cache(maxsize=16)
-def _oracle_integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
-    """``_integrand`` under the radical rule, kept for the few (graph, order,
-    cap) that consecutive ``feynman_integral`` calls share."""
-    return _integrand(graph, order, cap)
+def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
+                           coefficient=_radical_coefficient) -> MappingProxyType:
+    """Map every multidegree a with |a| <= cap to the x^0 coefficient of
+    the product of each edge k's degree-a_k propagator part (zeros left
+    out): ``_integrand``'s product, with each partial product split by the
+    degrees of its edges so far."""
+    edges = oriented_edges(graph, order)
+    partial = {(): TruncatedSeries.constant(graph.vertex_count, cap, 1)}
+    for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
+        factor = propagator(edge, cap, coefficient)
+        partial = {
+            prefix + (degree,): product
+            for prefix, series in partial.items()
+            for degree in range(cap - sum(prefix) + 1)
+            if (product := _times(series, factor.degree_part(degree), limits))
+        }
+    zero_x = (0,) * graph.vertex_count
+    # read-only, as every caller gets the same cached mapping
+    return MappingProxyType({a: series.terms[(sum(a), zero_x)] for a, series in partial.items()})
 
 
 def _check_multidegree(graph: FeynmanGraph, a) -> tuple:
@@ -305,7 +323,8 @@ def _check_multidegree(graph: FeynmanGraph, a) -> tuple:
 
 
 def feynman_integral(graph_class, order, a) -> RadicalScalar:
-    """Coefficient of q^a x^0 in the propagator product; always rational.
+    """Coefficient of q_1^a_1...q_r^a_r x^0 in the propagator product, in
+    the radical rule; always rational.
 
     ``order`` is a tuple listing the vertices from earliest to latest;
     ``a`` assigns each edge its q-degree (the degree it carries over the
@@ -313,8 +332,7 @@ def feynman_integral(graph_class, order, a) -> RadicalScalar:
     """
     graph = _graph_of(graph_class)
     a = _check_multidegree(graph, a)
-    series = _oracle_integrand(graph, tuple(order), sum(a))
-    coef = series.coefficient(a, (0,) * graph.vertex_count)
+    coef = _multidegree_integrals(graph, tuple(order), sum(a)).get(a, RadicalScalar())
     if not coef.is_rational:
         raise NonRationalIntegral(
             "integral of %r at %r is %r" % (graph, a, coef)
@@ -398,10 +416,10 @@ _READINGS = tuple(
 
 @lru_cache(maxsize=None)
 def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
-    """f(graph, identity): the sum of the degree-d balanced coefficients
-    under the identity vertex order, in the integer rule."""
+    """f(graph, identity): the degree-d balanced coefficient under the
+    identity vertex order, in the integer rule."""
     series = _integrand(graph, tuple(range(graph.vertex_count)), d, integer_coefficients(graph))
-    return sum(coef for qexp, coef in series.x_constant_part().items() if sum(qexp) == d)
+    return series.terms.get((d, (0,) * graph.vertex_count), 0)
 
 
 def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:

@@ -118,32 +118,29 @@ def multiset_automorphisms(items) -> int:
     return out
 
 
-def vertex_automorphisms(graph: FeynmanGraph, degree_classes=None) -> list:
+def vertex_automorphisms(graph: FeynmanGraph) -> list:
     """The vertex bijections (as tuples, phi[v] = image of v) that fix the
-    edge multiset.
-
-    Candidates are the degree-preserving bijections, optionally passed in
-    precomputed as ``degree_classes`` (equivalent, since any automorphism
-    preserves degrees).
+    edge multiset.  Candidates are the degree-preserving bijections, since
+    any automorphism preserves degrees.
     """
-    maps = degree_classes or _degree_preserving_maps(graph.degrees())
     edges = graph.edges
     return [
         phi
-        for phi in maps
+        for phi in _degree_preserving_maps(tuple(graph.degrees()))
         if tuple(sorted(tuple(sorted((phi[u], phi[v]))) for u, v in edges)) == edges
     ]
 
 
-def automorphism_count(graph: FeynmanGraph, degree_classes=None) -> int:
+def automorphism_count(graph: FeynmanGraph) -> int:
     """Order of the multigraph automorphism group: the vertex automorphisms
     times the permutations of parallel edges and the 2 half-edge swaps of
     each loop."""
-    vertex_maps = len(vertex_automorphisms(graph, degree_classes))
+    vertex_maps = len(vertex_automorphisms(graph))
     return vertex_maps * 2 ** graph.loop_count() * multiset_automorphisms(graph.edges)
 
 
-def _degree_preserving_maps(degrees):
+@lru_cache(maxsize=None)
+def _degree_preserving_maps(degrees: tuple) -> tuple:
     """All vertex bijections preserving the degree function."""
     by_degree = {}
     for v, dv in enumerate(degrees):
@@ -162,14 +159,13 @@ def _degree_preserving_maps(degrees):
             rec(i + 1, current)
 
     rec(0, [None] * len(degrees))
-    return maps
+    return tuple(maps)
 
 
-def canonical_form(graph: FeynmanGraph, maps=None) -> tuple:
+def canonical_form(graph: FeynmanGraph) -> tuple:
     """Lexicographically minimal edge tuple over degree-preserving bijections."""
-    maps = maps or _degree_preserving_maps(graph.degrees())
     best = None
-    for phi in maps:
+    for phi in _degree_preserving_maps(tuple(graph.degrees())):
         cand = tuple(sorted(tuple(sorted((phi[u], phi[v]))) for u, v in graph.edges))
         if best is None or cand < best:
             best = cand
@@ -230,13 +226,12 @@ def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = Fal
     whose 3-valent vertices get the low labels."""
     target = [3] * three_valent + [2] * two_valent
     labelled = labelled_graphs(three_valent, two_valent, allow_loops)
-    maps = _degree_preserving_maps(target)
     found = {}
     for graph in (g for g in labelled if g.degrees() == target):
-        canon = canonical_form(graph, maps)
+        canon = canonical_form(graph)
         if canon not in found:
             rep = FeynmanGraph(len(target), canon)
-            found[canon] = GraphClass(rep, automorphism_count(rep, maps))
+            found[canon] = GraphClass(rep, automorphism_count(rep))
     return [found[c] for c in sorted(found)]
 
 

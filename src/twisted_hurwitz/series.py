@@ -1,11 +1,16 @@
-"""Sparse truncated series in edge variables q_k and vertex variables x_j.
+"""Sparse truncated series in one grading variable q and vertex variables x_j.
 
-A term is a coefficient attached to a pair of exponent vectors:
-q-exponents, which are non-negative and truncated in *total* degree by
-``q_cap``, and x-exponents, which may be negative (the x's are formal
-Laurent variables; the quantity of interest later is the part where
-every x-exponent is zero).  Multiplication drops any product term whose
-total q-degree exceeds the cap, so the cap is preserved by construction.
+A term is a coefficient attached to a q-degree and an x-exponent vector.
+The q-degree is non-negative and truncated at ``q_cap``; the x-exponents
+may be negative (the x's are formal Laurent variables; the quantity of
+interest later is the part where every x-exponent is zero).
+Multiplication drops any product term whose q-degree exceeds the cap, so
+the cap is preserved by construction.
+
+One q suffices for the graph sum: it sets every edge variable q_k to the
+same q and reads the degree-d part, so only the total degree is ever
+read.  A per-edge coefficient [q_1^a_1 ... q_r^a_r] is the product of
+each factor's degree-a_k slice instead (see ``feynman``).
 
 Coefficients are kept as given (int, Fraction or RadicalScalar): the
 graph sum multiplies ints, its radical reference path RadicalScalars.
@@ -26,30 +31,25 @@ def _check_scalar(value):
 
 
 class TruncatedSeries:
-    __slots__ = ("q_count", "x_count", "q_cap", "terms")
+    __slots__ = ("x_count", "q_cap", "terms")
 
-    def __init__(self, q_count: int, x_count: int, q_cap: int, terms=None):
-        if q_count < 0 or x_count < 0:
-            raise ValueError("variable counts must be non-negative")
-        if q_cap < 0:
-            raise ValueError("q_cap must be non-negative")
-        self.q_count = int(q_count)
+    def __init__(self, x_count: int, q_cap: int, terms=None):
+        if x_count < 0 or q_cap < 0:
+            raise ValueError("x_count and q_cap must be non-negative")
         self.x_count = int(x_count)
         self.q_cap = int(q_cap)
         clean = {}
         if terms:
-            for (qe, xe), coef in terms.items():
-                qe = tuple(int(e) for e in qe)
+            for (degree, xe), coef in terms.items():
+                degree = int(degree)
                 xe = tuple(int(e) for e in xe)
-                if len(qe) != self.q_count or len(xe) != self.x_count:
+                if len(xe) != self.x_count:
                     raise ValueError("exponent vector arity mismatch")
-                if any(e < 0 for e in qe):
-                    raise ValueError("q-exponents must be non-negative")
-                if sum(qe) > self.q_cap:
-                    raise ValueError("term exceeds the q-degree cap")
+                if not 0 <= degree <= self.q_cap:
+                    raise ValueError("q-degree %d is outside 0..%d" % (degree, self.q_cap))
                 coef = _check_scalar(coef)
                 if coef:
-                    key = (qe, xe)
+                    key = (degree, xe)
                     acc = clean.get(key)
                     clean[key] = coef if acc is None else acc + coef
         self.terms = {k: v for k, v in clean.items() if v}
@@ -57,23 +57,17 @@ class TruncatedSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, q_count, x_count, q_cap, value) -> "TruncatedSeries":
-        zero_q = (0,) * q_count
-        zero_x = (0,) * x_count
-        return cls(q_count, x_count, q_cap, {(zero_q, zero_x): value})
+    def constant(cls, x_count, q_cap, value) -> "TruncatedSeries":
+        return cls(x_count, q_cap, {(0, (0,) * x_count): value})
 
     @classmethod
-    def monomial(cls, q_count, x_count, q_cap, qexp, xexp, value) -> "TruncatedSeries":
-        return cls(q_count, x_count, q_cap, {(tuple(qexp), tuple(xexp)): value})
+    def monomial(cls, x_count, q_cap, degree, xexp, value) -> "TruncatedSeries":
+        return cls(x_count, q_cap, {(degree, tuple(xexp)): value})
 
     # -- ring operations ----------------------------------------------------
 
     def _check_compatible(self, other):
-        if (
-            self.q_count != other.q_count
-            or self.x_count != other.x_count
-            or self.q_cap != other.q_cap
-        ):
+        if self.x_count != other.x_count or self.q_cap != other.q_cap:
             raise ValueError("series have different variables or caps")
 
     def __add__(self, other):
@@ -84,7 +78,7 @@ class TruncatedSeries:
         for key, coef in other.terms.items():
             acc = out.get(key)
             out[key] = coef if acc is None else acc + coef
-        result = TruncatedSeries(self.q_count, self.x_count, self.q_cap)
+        result = TruncatedSeries(self.x_count, self.q_cap)
         result.terms = {k: v for k, v in out.items() if v}
         return result
 
@@ -93,57 +87,48 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         cap = self.q_cap
-        right = [(qb, xb, sum(qb), cb) for (qb, xb), cb in other.terms.items()]
+        right = [(db, xb, cb) for (db, xb), cb in other.terms.items()]
         out = {}
-        for (qa, xa), ca in self.terms.items():
-            room = cap - sum(qa)
-            for qb, xb, degree, cb in right:
-                if degree > room:
+        for (da, xa), ca in self.terms.items():
+            room = cap - da
+            for db, xb, cb in right:
+                if db > room:
                     continue
-                key = (tuple(map(add, qa, qb)), tuple(map(add, xa, xb)))
+                key = (da + db, tuple(map(add, xa, xb)))
                 prod = ca * cb
                 acc = out.get(key)
                 out[key] = prod if acc is None else acc + prod
-        result = TruncatedSeries(self.q_count, self.x_count, cap)
+        result = TruncatedSeries(self.x_count, cap)
         result.terms = {k: v for k, v in out.items() if v}
         return result
 
     def scale(self, value) -> "TruncatedSeries":
         value = _check_scalar(value)
-        result = TruncatedSeries(self.q_count, self.x_count, self.q_cap)
+        result = TruncatedSeries(self.x_count, self.q_cap)
         result.terms = {k: v for k, v in ((k, c * value) for k, c in self.terms.items()) if v}
         return result
 
     # -- extraction ----------------------------------------------------------
 
-    def coefficient(self, qexp, xexp) -> RadicalScalar:
-        key = (tuple(qexp), tuple(xexp))
-        return self.terms.get(key, RadicalScalar())
+    def degree_part(self, degree) -> "TruncatedSeries":
+        """The terms of q-degree ``degree``."""
+        result = TruncatedSeries(self.x_count, self.q_cap)
+        result.terms = {k: c for k, c in self.terms.items() if k[0] == degree}
+        return result
+
+    def coefficient(self, degree, xexp) -> RadicalScalar:
+        return self.terms.get((degree, tuple(xexp)), RadicalScalar())
 
     def x_constant_part(self) -> dict:
-        """Map q-exponent vector -> coefficient, over terms with all x-exponents 0."""
+        """Map q-degree -> coefficient, over terms with all x-exponents 0."""
         zero_x = (0,) * self.x_count
-        return {qe: coef for (qe, xe), coef in self.terms.items() if xe == zero_x}
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.q_count == other.q_count
-            and self.x_count == other.x_count
-            and self.q_cap == other.q_cap
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.q_count, self.x_count, self.q_cap, frozenset(self.terms.items())))
+        return {degree: coef for (degree, xe), coef in self.terms.items() if xe == zero_x}
 
     def __bool__(self):
         return bool(self.terms)
 
     def __repr__(self):
-        return "TruncatedSeries(%d q-vars, %d x-vars, cap %d, %d terms)" % (
-            self.q_count,
+        return "TruncatedSeries(%d x-vars, cap %d, %d terms)" % (
             self.x_count,
             self.q_cap,
             len(self.terms),

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through main(argv)."""
 
+import argparse
 import csv
 import io
 import json
@@ -267,6 +268,25 @@ def test_corrupt_cache_lines_are_skipped(tmp_path, capsys):
     assert out2 == out1  # the valid record still hits
 
 
+def test_non_utf8_cache_line_is_skipped(tmp_path, capsys):
+    cache_file = tmp_path / "cache.jsonl"
+    argv = (
+        "compute", "--cache-file", str(cache_file),
+        "--method", "symgroup", "-d", "2", "-g", "3", "--format", "json",
+    )
+    _, first, _ = run(capsys, *argv)
+    with open(cache_file, "ab") as handle:
+        handle.write(b"\xff\xfe garbage\n")
+    with pytest.warns(UserWarning, match="skipping corrupt cache line 2"):
+        code, again, _ = run(capsys, *argv)
+    assert (code, again) == (0, first)
+    with pytest.warns(UserWarning, match="skipping corrupt cache line 2"):
+        code, out, _ = run(capsys, "cache", "show", "--cache-file", str(cache_file))
+    assert code == 0
+    assert out.splitlines()[0].startswith("1 cached results")
+    assert out.splitlines()[1] + "\n" == first
+
+
 def test_torn_last_cache_line_keeps_the_next_record(tmp_path, capsys):
     cache_file = tmp_path / "cache.jsonl"
     torn = '{"method": "symgroup", "d": 2, "g"'  # a write cut off mid-line
@@ -431,6 +451,32 @@ def test_export_covers_unwritable_path_exit_4(capsys):
 
 
 # -- misc ------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, _, _ = run(capsys, "cache", "show", "--cache-file", str(tmp_path / "c.jsonl"))
+            assert code == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("twisted-hurwitz") == 1
+
+
+def test_handlers_are_looked_up_when_called(tmp_path, capsys, monkeypatch):
+    argv = ("cache", "show", "--cache-file", str(tmp_path / "c.jsonl"))
+    run(capsys, *argv)  # the parser exists from here on
+    monkeypatch.setattr(cli, "cmd_cache", lambda args: 7)
+    assert main(list(argv)) == 7
 
 
 def test_version_flag(capsys):
