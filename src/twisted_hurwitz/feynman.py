@@ -419,7 +419,7 @@ def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
     """f(graph, identity): the degree-d balanced coefficient under the
     identity vertex order, in the integer rule."""
     series = _integrand(graph, tuple(range(graph.vertex_count)), d, integer_coefficients(graph))
-    return series.terms.get((d, (0,) * graph.vertex_count), 0)
+    return series.coefficient(d, (0,) * graph.vertex_count)
 
 
 def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:

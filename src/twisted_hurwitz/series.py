@@ -116,8 +116,9 @@ class TruncatedSeries:
         result.terms = {k: c for k, c in self.terms.items() if k[0] == degree}
         return result
 
-    def coefficient(self, degree, xexp) -> RadicalScalar:
-        return self.terms.get((degree, tuple(xexp)), RadicalScalar())
+    def coefficient(self, degree, xexp) -> RadicalScalar | Fraction | int:
+        """The coefficient of one term; int 0 when the series has none."""
+        return self.terms.get((degree, tuple(xexp)), 0)
 
     def x_constant_part(self) -> dict:
         """Map q-degree -> coefficient, over terms with all x-exponents 0."""

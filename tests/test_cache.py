@@ -1,0 +1,229 @@
+"""ResultCache.lookup reads canonical lines by their bytes and decodes the
+rest; on every file it must answer and warn exactly as decoding every
+line does."""
+
+import json
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from twisted_hurwitz import cache
+from twisted_hurwitz.cache import KEY_FIELDS, LINE_FIELDS, ResultCache
+from twisted_hurwitz.cli import RunRecord, main
+
+
+def decode_every_line(path, key):
+    """The lookup rule itself: decode every line, the last record whose
+    KEY_FIELDS equal *key*'s under == wins."""
+    found = None
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                record = None
+            if not isinstance(record, dict):
+                warnings.warn("skipping corrupt cache line %d in %s" % (lineno, path))
+                continue
+            if all(record.get(f) == key.get(f) for f in KEY_FIELDS):
+                found = record
+    return found
+
+
+def answer_and_warnings(lookup, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = lookup(*args)
+    # repr tells True from 1 and 2.0 from 2
+    return repr(found), [str(w.message) for w in caught]
+
+
+# -- random damaged files ---------------------------------------------------------
+
+#: few values per field, so that keys and lines collide often
+POOLS = {
+    "method": ("symgroup", "fock", 'say "fock"', "symgroup", "fock"),
+    "d": (0, 1, 2),
+    "g": (3, 4),
+    "connected": (True, False),
+    "numerator": ("16", "-3", "x\\y"),
+    "denominator": ("1", "0"),
+    "wall_time_ms": (0, 7, 10**20),
+    "tool_version": ("0.1", "0.2"),
+    "normalization_reading": ("", "r", "é", "", "r"),
+}
+
+#: lines that are not a record at all
+ODD_LINES = (
+    b"", b"   ", b"\r", b"[1, 2]", b"null", b"{}", b"{not json}", b'"text"',
+    b"\xff\xfe garbage", b'{"method": "fock\xff"}',
+)
+
+
+def _spell(value, rng):
+    """A JSON spelling of *value* other than json.dumps': that of an equal
+    value, or invalid JSON."""
+    if isinstance(value, bool):
+        return rng.choice(["1" if value else "0", " true" if value else "false "])
+    if isinstance(value, int):
+        return rng.choice(["%d.0" % value, "0%d" % value, "-0" if value == 0 else "%de0" % value,
+                           "true" if value == 1 else "%d" % value])
+    return rng.choice([
+        '"%s"' % "".join("\\u%04x" % ord(c) for c in value),  # every character escaped
+        json.dumps(value, ensure_ascii=False),  # raw UTF-8
+        '"%s"' % value,  # no escaping at all
+    ])
+
+
+def _record_line(fields, rng):
+    fields = list(fields)
+    damage = rng.choice(["none"] * 12 + ["reorder", "duplicate", "drop", "compact", "spell"])
+    if damage == "reorder":
+        rng.shuffle(fields)
+    elif damage == "duplicate":
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(fields))
+        name, _ = rng.choice(fields)
+        fields.append((name, rng.choice(POOLS[name])))
+    elif damage == "drop":
+        del fields[rng.randrange(len(fields))]
+    respelled = rng.randrange(len(fields)) if damage == "spell" else -1
+    sep = ("," if damage == "compact" else ", "), (":" if damage == "compact" else ": ")
+    text = "{" + sep[0].join(
+        '"%s"%s%s' % (n, sep[1], _spell(v, rng) if i == respelled else json.dumps(v))
+        for i, (n, v) in enumerate(fields)
+    ) + "}"
+    line = text.encode("utf-8")
+    if rng.random() > 0.9:
+        line = line[: rng.randrange(len(line))]  # torn
+    if rng.random() > 0.9:
+        pad = (b" ", b"\t", b"\r", b"\x0c")
+        line = rng.choice(pad) * rng.randrange(2) + line + rng.choice(pad) * rng.randrange(2)
+    if rng.random() > 0.95:  # glued to the torn start of another write
+        line = rng.choice((b"x", b"{", b'{"method": "fock", ', b"\xff")) + line
+    return line
+
+
+@st.composite
+def files_and_keys(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    # a few keys per file, so that most lookups find several candidates
+    keys = [{f: rng.choice(POOLS[f]) for f in KEY_FIELDS} for _ in range(rng.randrange(1, 4))]
+    lines = []
+    for _ in range(rng.randrange(12)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(ODD_LINES))
+        else:
+            fields = dict(rng.choice(keys))
+            fields = [(name, fields[name] if name in fields else rng.choice(POOLS[name]))
+                      for name, _ in LINE_FIELDS]
+            lines.append(_record_line(fields, rng))
+    data = b"\n".join(lines) + (b"\n" if lines and rng.random() < 0.8 else b"")
+    key = dict(rng.choice(keys))
+    roll = rng.random()
+    if roll > 0.9:  # values equal to canonical ones under == but of another type
+        key[rng.choice(["connected", "d", "g"])] = rng.choice([1, 0, True, False, 1.0, 2.0])
+    elif roll > 0.85:
+        del key[rng.choice(KEY_FIELDS)]
+    return data, key
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files_and_keys())
+def test_lookup_answers_and_warns_as_decoding_every_line(tmp_path, file_and_key):
+    data, key = file_and_key
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(data)
+    assert answer_and_warnings(ResultCache(path).lookup, key) == answer_and_warnings(
+        decode_every_line, path, key
+    )
+
+
+RECORD = RunRecord("fock", 0, 3, False, "16", "1", 4, "0.1", "").as_dict()
+CANONICAL = json.dumps(RECORD)
+
+#: near misses of RECORD's canonical line: other spellings of an equal
+#: record, and lines that look canonical but are not records
+NEAR_CANONICAL = (
+    CANONICAL.replace('"d": 0', '"d": -0'),
+    CANONICAL.replace('"d": 0', '"d": 0.0'),
+    CANONICAL.replace('"g": 3', '"g": 03'),
+    CANONICAL.replace('"connected": false', '"connected": 0'),
+    CANONICAL.replace('"fock"', '"\\u0066ock"'),
+    CANONICAL.replace('"16"', '"1\\u0036"'),
+    CANONICAL.replace('"wall_time_ms": 4', '"wall_time_ms": 1' + "0" * 30),
+    CANONICAL.replace('"wall_time_ms": 4', '"wall_time_ms": ' + "1" * 5000),  # past int parsing
+    CANONICAL[:-1] + ', "d": 1}',
+    " " + CANONICAL,
+    CANONICAL + "\r",
+    "x" + CANONICAL,
+    CANONICAL[:40] + CANONICAL,
+)
+
+
+@pytest.mark.parametrize("line", NEAR_CANONICAL)
+@pytest.mark.parametrize("first", [True, False], ids=["near-first", "near-last"])
+def test_near_canonical_lines_read_as_decoded(tmp_path, line, first):
+    other = json.dumps(dict(RECORD, numerator="17"))
+    path = tmp_path / "cache.jsonl"
+    path.write_text("%s\n%s\n" % ((line, other) if first else (other, line)))
+    key = {f: RECORD[f] for f in KEY_FIELDS}
+    assert answer_and_warnings(ResultCache(path).lookup, key) == answer_and_warnings(
+        decode_every_line, path, key
+    )
+
+
+def test_off_type_key_values_match_as_under_equality(tmp_path):
+    record = RunRecord("fock", 1, 3, True, "2", "1", 0, "0.1", "").as_dict()
+    store = ResultCache(tmp_path / "cache.jsonl")
+    store.store(record)
+    key = {f: record[f] for f in KEY_FIELDS}
+
+    class EqualToAll:
+        def __eq__(self, other):
+            return True
+
+    for field, value in (("connected", 1), ("d", True), ("g", 3.0), ("method", EqualToAll())):
+        assert store.lookup(dict(key, **{field: value})) == record
+    assert store.lookup(dict(key, connected=0)) is None
+
+
+# -- the byte path is the path stored records take -------------------------------
+
+
+def test_a_hit_among_canonical_records_decodes_one_line(tmp_path, monkeypatch):
+    filler = [
+        json.dumps(RunRecord("symgroup", 1 + i % 5, 3 + i % 4, i % 2 == 0, str(i), "1", i,
+                             "0.0.%d" % (i % 7), "").as_dict()) + "\n"
+        for i in range(5000)
+    ]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(filler[:2500]))
+    wanted = RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "").as_dict()
+    store = ResultCache(path)
+    store.store(wanted)
+    with open(path, "a") as handle:
+        handle.write("".join(filler[2500:]))
+    decoded = []
+    loads = cache.json.loads
+    monkeypatch.setattr(cache.json, "loads", lambda *a, **k: decoded.append(1) or loads(*a, **k))
+    key = {f: wanted[f] for f in KEY_FIELDS}
+    assert store.lookup(key) == wanted
+    assert len(decoded) <= 1
+    del decoded[:]
+    assert store.lookup(dict(key, tool_version="0.2")) is None
+    assert decoded == []
+
+
+def test_stored_records_are_canonical_lines(tmp_path, capsys):
+    record = RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "reading")
+    as_dict = record.as_dict()
+    assert tuple(as_dict) == tuple(name for name, _ in LINE_FIELDS)
+    assert tuple(type(v) for v in as_dict.values()) == tuple(kind for _, kind in LINE_FIELDS)
+    path = tmp_path / "cache.jsonl"
+    assert main(["compute", "--cache-file", str(path), "--method", "fock", "-d", "2", "-g", "3"]) == 0
+    capsys.readouterr()
+    assert cache._canonical_line().fullmatch(path.read_bytes())
