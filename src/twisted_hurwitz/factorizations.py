@@ -35,13 +35,14 @@ and tau(j).  Neither E nor P involves sigma.  So one dynamic program over
 the states (E, tau E^{-1} tau, P), each step applying one admissible
 transposition and carrying the number of sequences that reach the state,
 gives the contribution of every sequence for every sigma at once (`_layer`).
-P is tracked only for connected counts; otherwise it stays the discrete
-partition.  The layer for g-1 slots is built from the one for g-2 and
-memoised, so genus g reuses the work of genus g-1.  A sigma is finished
-(`count_for_sigma`) by looking each state's product up in the table of
-alpha sigma alpha^{-1}: the state adds its multiplicity once per matching
-alpha, and for connected counts only for the alphas with P v sigma v alpha
-transitive (all of them when P v sigma already is).
+One layer tracks P for both counts: a disconnected count sums the
+multiplicities over P, so connected and disconnected queries at one
+(d, g) share the same memoised layer.  The layer for g-1 slots is built
+from the one for g-2, so genus g reuses the work of genus g-1.  A sigma is
+finished (`count_for_sigma`) by looking each state's product up in the
+table of alpha sigma alpha^{-1}: the state adds its multiplicity once per
+matching alpha, and for connected counts only for the alphas with
+P v sigma v alpha transitive (all of them when P v sigma already is).
 
 Conjugating a whole tuple by beta in B_d gives another counted tuple: beta
 commutes with tau, so it maps B~_d, B_d and the admissible transpositions
@@ -49,15 +50,37 @@ commutes with tau, so it maps B~_d, B_d and the admissible transpositions
 both sides of the equation alike; and it relabels the points, which keeps
 transitivity.  The count for sigma therefore depends only on the B_d-orbit
 of sigma, and the total is the sum over orbit representatives of orbit size
-times the representative's count (`_sigma_orbits`: 15 sigmas fall into 3
-orbits at d=3, 105 into 5 at d=4, 945 into 7 at d=5).  The whole count runs
-in one process: the representatives share one memoised layer, so splitting
-them over worker processes would only make each worker rebuild the tables
-and the layer.
+times the representative's count.  The whole count runs in one process:
+the representatives share one memoised layer.
+
+The orbits in closed form
+-------------------------
+(Macdonald, *Symmetric Functions and Hall Polynomials*, ch. VII.2.)  Every
+sigma in B~_d is tau * m for a perfect matching m of the 2d points
+(`perms.twist_admissible_set`).  In the graph on the 2d points with the
+edges of tau and of m, each component is a cycle of 2k points that
+alternates tau-edges and m-edges; sigma = tau * m moves two steps along
+such a cycle, so it acts there as two k-cycles, and tau swaps them.  The
+half-lengths k form the coset type lambda |- d of m, and sigma has cycle
+type lambda u lambda.  beta in B_d maps the graph of m onto that of
+beta m beta^{-1} edge for edge, so it keeps the coset type; and B_d is
+transitive on the matchings of one coset type (map the components
+of one onto those of the other, tau-edge onto tau-edge).  The stabiliser
+of m is the group of colour-preserving symmetries of its graph: 2k on each
+2k-cycle (k rotations by an even number of steps, k reflections) times
+the permutations of equal components, z_{2 lambda} = 2^l(lambda) z_lambda
+in all.  So there is one orbit per partition lambda of d, of
+|B_d| / z_{2 lambda} = 2^(d - l(lambda)) d! / z_lambda elements
+(`_sigma_orbits`).  Its representative sigma_lambda is pi_lambda^{-1} on
+the points 0..d-1 and pi_lambda + d on d..2d-1, where pi_lambda cycles
+consecutive blocks of sizes lambda: tau sigma_lambda tau = sigma_lambda^{-1},
+and no cycle of sigma_lambda meets both halves.
 
 The classical count runs the same layer builder with E = tau_{2g-2} * ...
 * tau_1 in S_d, product E * sigma (the right factor stays the identity),
-steps joining {i, j}, and sigma summed over conjugacy classes of S_d.
+steps joining {i, j}, and sigma summed over the conjugacy classes of S_d:
+the class of cycle type lambda holds pi_lambda and d! / z_lambda elements
+(`_classes`).
 
 Searches are budgeted: a query whose projected tuple-tree size exceeds the
 budget raises BudgetExceeded instead of running for hours.  The projection
@@ -76,6 +99,7 @@ from math import comb, factorial
 from time import perf_counter
 
 from . import perms
+from .fock import aut_count, partitions, parts_product
 
 DEFAULT_BUDGET = 10**9
 
@@ -126,11 +150,29 @@ class HurwitzResult:
     elapsed_ms: float
 
 
-def _check_dg(d, g):
+def _admit(d, g, budget, projected):
+    """Reject a bad (d, g), then refuse the query if projected(d, g)
+    exceeds the budget; called before any table is built."""
     if d < 1:
         raise ValueError("degree d must be >= 1, got %r" % (d,))
     if g < 1:
         raise ValueError("genus g must be >= 1, got %r" % (g,))
+    limit = resolve_budget(budget)
+    size = projected(d, g)
+    if size > limit:
+        raise BudgetExceeded(size, limit)
+
+
+def _result(kind, d, g, connected, total, norm, start):
+    """*total* tuples over *norm*, timed from *start* (a perf_counter)."""
+    return HurwitzResult(
+        query=HurwitzQuery(kind, d, g, connected),
+        tuple_count=total,
+        normalization=norm,
+        value=Fraction(total, norm),
+        backend=KERNEL_BACKEND,
+        elapsed_ms=(perf_counter() - start) * 1000.0,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -161,24 +203,38 @@ def _twisted_projected(d, g):
     return sigmas * etas ** (g - 1) * 2**d * factorial(d)
 
 
-def _orbits(points, group):
-    """(representative, orbit size) for each orbit of *group* acting on
-    *points* by conjugation; a representative is its orbit's first point."""
-    seen = set()
+def _classical_projected(d, g):
+    """|S_d|^2 * |swaps|^(2g-2) from the closed forms d! and C(d, 2)."""
+    return factorial(d) ** 2 * max(comb(d, 2), 1) ** (2 * g - 2)
+
+
+@lru_cache(maxsize=None)
+def _classes(d):
+    """(lambda, pi_lambda, d!/z_lambda) for each partition lambda of d.
+
+    pi_lambda cycles consecutive blocks of sizes lambda (0 -> 1 -> ... ->
+    lambda_1 - 1 -> 0, then the next block), so it has cycle type lambda,
+    and its conjugacy class in S_d has d!/z_lambda elements.
+    """
     out = []
-    for p in points:
-        if p not in seen:
-            orbit = {perms.conjugate(p, beta) for beta in group}
-            seen |= orbit
-            out.append((p, len(orbit)))
-    return out
+    for lam in partitions(d):
+        pi, start = [], 0
+        for part in lam:
+            pi += range(start + 1, start + part)
+            pi.append(start)
+            start += part
+        out.append((lam, tuple(pi), factorial(d) // (parts_product(lam) * aut_count(lam))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _sigma_orbits(d):
-    """B_d-orbits of B~_d as (representative, size) pairs."""
-    _, _, alphas, sigmas = _twisted_tables(d)
-    return tuple(_orbits(sigmas, alphas))
+    """B_d-orbits of B~_d as (sigma_lambda, 2^(d - l(lambda)) d!/z_lambda)
+    pairs, one per partition lambda of d (see the module docstring)."""
+    return tuple(
+        (perms.inverse(pi) + tuple(x + d for x in pi), 2 ** (d - len(lam)) * size)
+        for lam, pi, size in _classes(d)
+    )
 
 
 def _support(t):
@@ -199,31 +255,29 @@ def _join(labels, pairs):
 
 
 @lru_cache(maxsize=None)
-def _layer(n, moves, depth, connected):
+def _layer(n, moves, depth):
     """{(left, right): {P: sequences}} over all sequences of *depth* moves.
 
     A move (step, right_step, pairs) multiplies the left factor by *step*
     on the left and the right factor by *right_step* on the right, and
-    joins *pairs* in the partition P, which stays discrete unless
-    *connected*.  The product after the sequence is left * sigma * right.
+    joins *pairs* in the partition P.  The product after the sequence is
+    left * sigma * right.
     """
     ident = tuple(range(n))
     if depth == 0:
         return {(ident, ident): {ident: 1}}
     out = {}
     joined = {}
-    for (left, right), parts in _layer(n, moves, depth - 1, connected).items():
+    for (left, right), parts in _layer(n, moves, depth - 1).items():
         for k, (step, right_step, pairs) in enumerate(moves):
             bucket = out.setdefault(
                 (tuple([step[x] for x in left]), tuple([right[x] for x in right_step])), {}
             )
             for part, mult in parts.items():
-                if connected:
-                    nxt = joined.get((part, k))
-                    if nxt is None:
-                        nxt = joined[part, k] = _join(part, pairs)
-                    part = nxt
-                bucket[part] = bucket.get(part, 0) + mult
+                nxt = joined.get((part, k))
+                if nxt is None:
+                    nxt = joined[part, k] = _join(part, pairs)
+                bucket[nxt] = bucket.get(nxt, 0) + mult
     return out
 
 
@@ -274,8 +328,7 @@ def count_for_sigma(sigma, etas, eta_taus, alphas, lookup, depth, connected):
         (tuple(eta), tuple(eta_t), (_support(eta), _support(eta_t)))
         for eta, eta_t in zip(etas, eta_taus)
     )
-    layer = _layer(len(sigma), moves, depth, connected)
-    return _finish(layer, sigma, alphas, lookup, connected)
+    return _finish(_layer(len(sigma), moves, depth), sigma, alphas, lookup, connected)
 
 
 def count_twisted(d, g, connected=True, budget=None, threads=1):
@@ -285,12 +338,7 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
     layer, so there is no per-sigma work worth spreading over processes.
     *threads* is accepted for compatibility and ignored.
     """
-    _check_dg(d, g)
-    limit = resolve_budget(budget)
-    projected = _twisted_projected(d, g)
-    if projected > limit:
-        raise BudgetExceeded(projected, limit)
-
+    _admit(d, g, budget, _twisted_projected)
     start = perf_counter()
     etas, eta_taus, alphas, _ = _twisted_tables(d)
     total = sum(
@@ -299,17 +347,7 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         )
         for sigma, size in _sigma_orbits(d)
     )
-    elapsed = (perf_counter() - start) * 1000.0
-
-    norm = 2**d * factorial(d)
-    return HurwitzResult(
-        query=HurwitzQuery("twisted", d, g, connected),
-        tuple_count=total,
-        normalization=norm,
-        value=Fraction(total, norm),
-        backend=KERNEL_BACKEND,
-        elapsed_ms=elapsed,
-    )
+    return _result("twisted", d, g, connected, total, 2**d * factorial(d), start)
 
 
 def enumerate_twisted_tuples(d, g, connected=True, budget=None):
@@ -321,13 +359,7 @@ def enumerate_twisted_tuples(d, g, connected=True, budget=None):
     this stream against count_twisted().tuple_count is a real consistency
     test, not a tautology.
     """
-    _check_dg(d, g)
-    limit = resolve_budget(budget)
-    projected = _twisted_projected(d, g)
-    if projected > limit:
-        raise BudgetExceeded(projected, limit)
-
-    tau = perms.pairing_involution(d)
+    _admit(d, g, budget, _twisted_projected)
     etas, eta_taus, alphas, sigmas = _twisted_tables(d)
     n = 2 * d
 
@@ -364,29 +396,14 @@ def _classical_tables(d):
 
 def count_classical(d, g, connected=True, budget=None):
     """Torus cover count: (sigma, tau_1..tau_{2g-2}, alpha) tuples over d!."""
-    _check_dg(d, g)
-    limit = resolve_budget(budget)
-    projected = factorial(d) ** 2 * max(comb(d, 2), 1) ** (2 * g - 2)
-    if projected > limit:
-        raise BudgetExceeded(projected, limit)
+    _admit(d, g, budget, _classical_projected)
     group, swaps = _classical_tables(d)
-
     start = perf_counter()
     ident = tuple(range(d))
     moves = tuple((s, ident, (_support(s),)) for s in swaps)
-    layer = _layer(d, moves, 2 * g - 2, connected)
+    layer = _layer(d, moves, 2 * g - 2)
     total = sum(
-        size * _finish(layer, sigma, group, _alpha_lookup(sigma, group), connected)
-        for sigma, size in _orbits(group, group)
+        size * _finish(layer, pi, group, _alpha_lookup(pi, group), connected)
+        for _, pi, size in _classes(d)
     )
-    elapsed = (perf_counter() - start) * 1000.0
-
-    return HurwitzResult(
-        query=HurwitzQuery("classical", d, g, connected),
-        tuple_count=total,
-        normalization=factorial(d),
-        value=Fraction(total, factorial(d)),
-        backend=KERNEL_BACKEND,
-        elapsed_ms=elapsed,
-    )
-
+    return _result("classical", d, g, connected, total, factorial(d), start)

@@ -172,7 +172,6 @@ def canonical_form(graph: FeynmanGraph) -> tuple:
     return best
 
 
-@lru_cache(maxsize=None)
 def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
     """Every connected multigraph on the positions 0..s-1 with
     `three_valent` vertices of valence 3 and `two_valent` of valence 2, for
@@ -182,7 +181,15 @@ def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = Fals
     itself (a loop) or a later open vertex, never smaller than the partner
     of the edge it took before.  So a multiset is built in one way only,
     vertex by vertex in sorted edge order, and needs no canonical form.
+
+    The list is cached per profile: every spelling of a call (loops
+    passed by position, by keyword or left out) shares one entry.
     """
+    return _labelled_graphs(three_valent, two_valent, bool(allow_loops))
+
+
+@lru_cache(maxsize=None)
+def _labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
     if three_valent < 0 or two_valent < 0 or three_valent + two_valent < 1:
         raise ValueError("need a positive number of vertices")
     total = 3 * three_valent + 2 * two_valent

@@ -21,7 +21,17 @@ built around it:
 * ``C~``   -- permutations with tau * s * tau == s^{-1}, enumerated as
   tau * (involutions of S_{2d});
 * ``B~_d`` -- the members of C~ none of whose cycles has tau-invariant support
-  (the "no self-symmetric cycle" condition).
+  (the "no self-symmetric cycle" condition), enumerated as
+  tau * (perfect matchings of the 2d points).
+
+Why the matchings give B~_d: if rho is an involution with a fixed point x,
+then s = tau * rho sends x to tau(x), so the cycle of x meets its tau-image
+and is self-paired.  If rho = m has no fixed point, the components of the
+graph with the edges of tau and of m are cycles of 2k points alternating
+tau-edges and m-edges; s = tau * m moves two steps along such a cycle, so
+it acts there as two k-cycles, and tau swaps them: no cycle is
+self-paired.  The factorization s = tau * m is unique, so |B~_d| is the
+number of matchings, (2d-1)!!.
 """
 
 from __future__ import annotations
@@ -168,30 +178,25 @@ def hyperoctahedral_group(d: int) -> list:
     return out
 
 
-def _involutions(n: int):
-    """All involutions of S_n including the identity (recursive pairing)."""
+def _involutions(n: int, fixed_points: bool = True):
+    """All involutions of S_n including the identity (recursive pairing);
+    only the fixed-point-free ones (perfect matchings) without
+    *fixed_points*."""
+    p = list(range(n))
 
     def rec(points):
         if not points:
-            yield {}
+            yield tuple(p)
             return
-        first = points[0]
-        rest = points[1:]
-        for m in rec(rest):
-            m2 = dict(m)
-            m2[first] = first
-            yield m2
-        for k in range(len(rest)):
-            partner = rest[k]
-            remaining = rest[:k] + rest[k + 1 :]
-            for m in rec(remaining):
-                m2 = dict(m)
-                m2[first] = partner
-                m2[partner] = first
-                yield m2
+        first, rest = points[0], points[1:]
+        if fixed_points:
+            yield from rec(rest)
+        for k, partner in enumerate(rest):
+            p[first], p[partner] = partner, first
+            yield from rec(rest[:k] + rest[k + 1 :])
+            p[first], p[partner] = first, partner
 
-    for mapping in rec(tuple(range(n))):
-        yield tuple(mapping[i] for i in range(n))
+    yield from rec(tuple(range(n)))
 
 
 def twist_symmetric_set(d: int) -> list:
@@ -201,8 +206,10 @@ def twist_symmetric_set(d: int) -> list:
 
 
 def twist_admissible_set(d: int) -> list:
-    """All of B~_d, sorted (lexicographic one-line order)."""
-    return [p for p in twist_symmetric_set(d) if not has_self_paired_cycle(p, d)]
+    """All of B~_d as tau * (perfect matchings), sorted (lexicographic
+    one-line order); see the module docstring."""
+    tau = pairing_involution(d)
+    return sorted(compose(tau, m) for m in _involutions(2 * d, fixed_points=False))
 
 
 def admissible_transpositions(d: int) -> list:

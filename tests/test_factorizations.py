@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 
 from twisted_hurwitz import factorizations, perms
+from twisted_hurwitz.fock import partitions
 from twisted_hurwitz.factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -168,17 +169,36 @@ def test_frozen_walk_counts(d, g):
 
 
 def test_sigma_orbits():
-    # B_d acting on B~_d by conjugation; each orbit's size is |B_d| over the
-    # order of its representative's centralizer in B_d
-    for d, count, total in [(3, 3, 15), (4, 5, 105)]:
+    # oracle: the orbits found by conjugating every sigma by all of B_d; each
+    # orbit's size is |B_d| over the order of its representative's
+    # centralizer in B_d, and its cycle type is lambda u lambda
+    for d in (1, 2, 3, 4, 5):
         _, _, alphas, sigmas = _twisted_tables(d)
+        scan, seen = [], set()
+        for sigma in sigmas:
+            if sigma not in seen:
+                orbit = {perms.conjugate(sigma, beta) for beta in alphas}
+                seen |= orbit
+                scan.append(len(orbit))
         orbits = _sigma_orbits(d)
-        assert len(orbits) == count
-        assert sum(size for _, size in orbits) == len(sigmas) == total
+        assert sorted(size for _, size in orbits) == sorted(scan)
+        assert sum(size for _, size in orbits) == len(sigmas)
+        assert [perms.cycle_type(sigma) for sigma, _ in orbits] == [
+            tuple(sorted(lam + lam, reverse=True)) for lam in partitions(d)
+        ]
+        members = set(sigmas)
         for sigma, size in orbits:
+            assert sigma in members
             centralizer = _alpha_lookup(sigma, alphas)[bytes(sigma)]
             assert size * len(centralizer) == len(alphas) == 2**d * factorial(d)
     assert sorted(size for _, size in _sigma_orbits(3)) == [1, 6, 8]
+
+
+def test_connected_and_disconnected_share_one_layer():
+    count_twisted(3, 4, connected=True)
+    misses = factorizations._layer.cache_info().misses
+    count_twisted(3, 4, connected=False)
+    assert factorizations._layer.cache_info().misses == misses
 
 
 # -- equivariance --------------------------------------------------------------
@@ -285,6 +305,28 @@ def test_classical_small_values():
     # oracle: hand count of commuting transitive pairs in S_3 (8 of 18)
     assert count_classical(3, 1, connected=True).value == Fraction(4, 3)
     assert count_classical(3, 1, connected=False).value == 3
+
+
+# tuple counts of the classical count over every sigma of S_d, before its
+# classes came from the partitions of d, (connected, disconnected)
+CLASSICAL_COUNTS = {
+    (1, 1): (1, 1), (1, 2): (0, 0), (1, 3): (0, 0),
+    (2, 1): (3, 4), (2, 2): (4, 4), (2, 3): (4, 4),
+    (3, 1): (8, 18), (3, 2): (96, 108), (3, 3): (960, 972),
+    (4, 1): (42, 120), (4, 2): (1440, 1920), (4, 3): (58752, 62976),
+}
+
+
+def test_classical_classes_and_frozen_counts():
+    for d in (1, 2, 3, 4):
+        classes = factorizations._classes(d)
+        assert [perms.cycle_type(pi) for _, pi, _ in classes] == list(partitions(d))
+        assert sum(size for _, _, size in classes) == factorial(d)
+    got = {
+        (d, g): tuple(count_classical(d, g, connected=c).tuple_count for c in (True, False))
+        for d, g in CLASSICAL_COUNTS
+    }
+    assert got == CLASSICAL_COUNTS
 
 
 def test_classical_matches_bruteforce_oracle():

@@ -274,7 +274,7 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
     normalization_reading()  # calibrate first: its rejected reading may search
-    graphs.labelled_graphs.cache_clear()
+    graphs._labelled_graphs.cache_clear()
     feynman._balanced_sum.cache_clear()
 
     def forbidden(*_args, **_kwargs):
@@ -287,6 +287,19 @@ def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch
     # oracle: the symmetric-group tuple count 983808 over (2*3)!! = 48
     assert generating_series_coefficient(3, 5) == 20496
     assert tropical.count_tropical(3, 5) == 20496
+
+
+def test_both_graph_pipelines_share_one_labelled_list():
+    normalization_reading()  # calibration enumerates graphs of its own
+    plain = graphs.labelled_graphs(4, 2)
+    assert plain is graphs.labelled_graphs(4, 2, False)
+    assert plain is graphs.labelled_graphs(4, 2, allow_loops=False)
+    graphs._labelled_graphs.cache_clear()
+    tropical.count_tropical(2, 5)
+    misses = graphs._labelled_graphs.cache_info().misses
+    assert misses > 0
+    generating_series_coefficient(1, 5)
+    assert graphs._labelled_graphs.cache_info().misses == misses
 
 
 def test_counts_beyond_the_desk_grid():
