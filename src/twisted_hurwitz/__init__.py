@@ -31,7 +31,6 @@ from .factorizations import (
 from .feynman import (
     CalibrationError,
     NonRationalIntegral,
-    NormalizationReading,
     calibrate_normalization,
     direct_cover_sum,
     feynman_integral,
@@ -77,7 +76,6 @@ __all__ = [
     "HurwitzResult",
     "KERNEL_BACKEND",
     "NonRationalIntegral",
-    "NormalizationReading",
     "ParityViolation",
     "QuotientCover",
     "RadicalScalar",

@@ -2,7 +2,7 @@
 
 A record is a flat dict; the fields in KEY_FIELDS identify the
 computation (method, parameters, tool version and — for the graph-sum
-pipeline — the calibrated normalization reading), the rest carry the
+pipeline — the derived normalization reading), the rest carry the
 result and timing.  Lookups scan the file and the last matching line
 wins, so re-storing a key never requires rewriting the file.  Lines that
 fail to parse are reported as warnings and skipped: a damaged cache can

@@ -3,7 +3,7 @@
 ``compute`` runs one pipeline at one (d, g) and prints the exact value
 with a run record; results are served from an append-only cache when the
 same query (including tool version and, for the graph-sum method, the
-calibrated normalization reading) has been answered before.  ``validate``
+derived normalization reading) has been answered before.  ``validate``
 runs every applicable pipeline over a (d, g) rectangle and reports the
 pairwise identities.  ``export-covers`` writes the tropical quotient
 covers as JSON or DOT.  Exact rationals are always printed as
@@ -138,15 +138,15 @@ def _checked_budget(budget, err):
 
 
 def _compute_value(method, d, g, connected, budget):
-    """(value, normalization_reading_label) for one query."""
+    """The exact value of one query."""
     if method == "symgroup":
-        return count_twisted(d, g, connected=connected, budget=budget).value, ""
+        return count_twisted(d, g, connected=connected, budget=budget).value
     if method == "tropical":
-        return count_tropical(d, g), ""
+        return count_tropical(d, g)
     if method == "feynman":
-        return generating_series_coefficient(d, g), normalization_reading()
+        return generating_series_coefficient(d, g)
     if method == "fock":
-        return elliptic_disconnected(d, g), ""
+        return elliptic_disconnected(d, g)
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -190,8 +190,6 @@ def cmd_compute(args, out=None, err=None) -> int:
         "g": args.genus,
         "connected": connected,
         "tool_version": __version__,
-        # reading is part of the key only once known; a cached feynman record
-        # carries the reading that produced it
         "normalization_reading": normalization_reading() if args.method == "feynman" else "",
     }
     hit = cache.lookup(key)
@@ -209,7 +207,7 @@ def cmd_compute(args, out=None, err=None) -> int:
             return EXIT_INCOMPATIBLE
     start = time.perf_counter()
     try:
-        value, reading = _compute_value(args.method, args.degree, args.genus, connected, budget)
+        value = _compute_value(args.method, args.degree, args.genus, connected, budget)
     except BudgetExceeded as exc:
         print("step budget exceeded: %s" % exc, file=err)
         return EXIT_BUDGET
@@ -224,7 +222,7 @@ def cmd_compute(args, out=None, err=None) -> int:
         denominator=str(value.denominator),
         wall_time_ms=wall_ms,
         tool_version=__version__,
-        normalization_reading=reading,
+        normalization_reading=key["normalization_reading"],
     )
     cache.store(record.as_dict())
     _emit(record, args.format, out)

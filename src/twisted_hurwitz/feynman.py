@@ -56,18 +56,40 @@ G isomorphic to C arises from |VAut(C)| orders, so
     sum_pi f(C, pi) = |VAut(C)| * sum_{labelled G ~ C} f(G, identity).
 
 As |Aut(C)| = |VAut(C)| * prod m! over the parallel-edge multiplicities m,
-a class's term splits into one term per labelled graph: f(G, identity) /
-prod m!(G) when #Aut divides, and f(G, identity) * |VAut(G)|^2 * prod m!(G)
-when it multiplies (which only calibration evaluates).  So the sum runs
-over ``graphs.labelled_graphs`` under the identity order, with no
-canonical form or automorphism search in the calibrated reading.
+a class's term f(C, pi) / |Aut(C)| splits into one term per labelled
+graph, f(G, identity) / prod m!(G).  So the sum runs over
+``graphs.labelled_graphs`` under the identity order, with no canonical
+form or automorphism search.
 
-The prefactor combining these integrals admits four plausible readings
-(the global 2^(g-1) as numerator or denominator, the automorphism count
-of the graph as multiplier or divisor).  Rather than hard-code one,
-``calibrate_normalization`` fixes the reading once by requiring agreement
-with the symmetric-group pipeline on small anchor cases, and the chosen
-reading is reported alongside exported series.
+The prefactor is derived, not fitted.  The count is
+
+    2^(g-1) * sum over profiles (t, c) of (2^g' - delta_{0c}) / 2^(c+1)
+            * sum over labelled G of that profile of f(G, identity) / prod m!(G)
+
+with t 3-valent and c 2-valent vertices and g' = t/2 + 1, and it equals
+the tropical count (tropical.py) graph by graph:
+
+1. The propagator's q^a sum_{w|a} term is the sum over crossing counts k
+   with w*k = a, in either direction: a tropical edge (i, j, k, w).
+2. Its a = 0 term runs tail to head only, as k = 0 needs the edge to go
+   forward (i < j).  So f(G, identity) sums over the balanced degree-d
+   decorations of G, one decoration per labelled edge.
+3. The integer rule's factor on a decoration is prod w * prod over
+   2-valent v of (omega_v - 1), the weight part of the tropical
+   multiplicity; it vanishes exactly on the decorations with a weight-1
+   2-valent vertex, which tropical drops.
+4. Summing 1/|Aut| over decorated edge multisets, |Aut| the product of
+   m! over identical decorated edges, equals summing over the ordered
+   decorations and dividing by prod m!(G).
+
+With 2g' = g - c + 1, tropical's remaining factor (2^g' - delta_{0c})
+* 2^(2g'-3) is 2^(g-1) (2^g' - delta_{0c}) / 2^(c+1), so for every
+labelled graph G the sum of ``tropical.quotient_multiplicity`` over G's
+decorations equals G's term above; the tests check this identity on
+every labelled graph at each test point.  Records and cache keys name
+this prefactor by its reading "2^(g-1) multiplies, #Aut divides".
+``calibrate_normalization`` compares it with the symmetric-group count
+at the anchor points, off every query path.
 
 ``feynman_integral`` and ``direct_cover_sum`` keep the radical rule and
 per-edge multidegrees, and serve as the oracle for the integer one.
@@ -89,8 +111,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .factorizations import DEFAULT_BUDGET, count_twisted
-from .graphs import (FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms,
-                     vertex_automorphisms)
+from .graphs import FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms
 # no counting path calls enumerate_graphs; the name stays because the
 # graphs.enumerate probe in perfbench/probes.py wraps feynman.enumerate_graphs
 from .graphs import enumerate_graphs  # noqa: F401
@@ -98,13 +119,13 @@ from .graphs import vertex_profiles as _vertex_profiles
 from .radicals import RadicalScalar
 from .series import TruncatedSeries
 
-#: Small (d, g) points where the symmetric-group count is cheap; used to pin
-#: down the normalization reading.
+#: Small (d, g) points where the symmetric-group count is cheap; used to
+#: check the derived prefactor.
 ANCHOR_POINTS = ((1, 3), (2, 3), (1, 4), (2, 4))
 
 
 class CalibrationError(RuntimeError):
-    """No normalization reading (or more than one) matches the anchors."""
+    """The derived prefactor misses the symmetric-group count at an anchor."""
 
 
 class NonRationalIntegral(RuntimeError):
@@ -391,27 +412,9 @@ def direct_cover_sum(graph_class, order, a) -> RadicalScalar:
 # -- assembly ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizationReading:
-    """One of the four candidate prefactor readings.
-
-    ``genus_factor_exponent`` is +1 when the global 2^(g-1) multiplies the
-    sum (and -1 when it divides); ``automorphism_exponent`` likewise for
-    the per-graph automorphism count.
-    """
-
-    genus_factor_exponent: int
-    automorphism_exponent: int
-
-    def describe(self) -> str:
-        genus = "2^(g-1) multiplies" if self.genus_factor_exponent > 0 else "2^(g-1) divides"
-        aut = "#Aut multiplies" if self.automorphism_exponent > 0 else "#Aut divides"
-        return "%s, %s" % (genus, aut)
-
-
-_READINGS = tuple(
-    NormalizationReading(ge, ae) for ge in (1, -1) for ae in (1, -1)
-)
+#: label of the derived prefactor (see the module docstring); run records
+#: and cache keys carry it
+_READING = "2^(g-1) multiplies, #Aut divides"
 
 
 @lru_cache(maxsize=None)
@@ -422,60 +425,37 @@ def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
     return series.coefficient(d, (0,) * graph.vertex_count)
 
 
-def _assemble(d: int, g: int, reading: NormalizationReading) -> Fraction:
+def _assemble(d: int, g: int) -> Fraction:
     total = Fraction(0)
     for t, c in _vertex_profiles(g):
         quotient_genus = t // 2 + 1
         weight = Fraction(2 ** quotient_genus - (1 if c == 0 else 0), 2 ** (c + 1))
         for graph in labelled_graphs(t, c):
-            value = _balanced_sum(graph, d)
-            parallel = multiset_automorphisms(graph.edges)
-            if reading.automorphism_exponent > 0:
-                total += weight * value * len(vertex_automorphisms(graph)) ** 2 * parallel
-            else:
-                total += weight * Fraction(value, parallel)
-    if reading.genus_factor_exponent > 0:
-        return total * 2 ** (g - 1)
-    return total / 2 ** (g - 1)
+            total += weight * Fraction(_balanced_sum(graph, d), multiset_automorphisms(graph.edges))
+    return total * 2 ** (g - 1)
 
 
-def calibrate_normalization(anchors=ANCHOR_POINTS) -> NormalizationReading:
-    """Select the unique prefactor reading that matches the anchor counts.
-
-    Each candidate reading is evaluated on every anchor (d, g) and compared
-    with the symmetric-group pipeline; exactly one reading must survive.
-    """
+def calibrate_normalization(anchors=ANCHOR_POINTS) -> str:
+    """Check the derived prefactor against the symmetric-group count at
+    the anchor (d, g) and return its label; raise CalibrationError on a
+    mismatch.  No query runs this check."""
     # the anchors are fixed small points, so they run under the default
     # budget whatever TH_BUDGET says
-    targets = {
-        (d, g): count_twisted(d, g, connected=True, budget=DEFAULT_BUDGET).value
-        for d, g in anchors
-    }
-    evidence = {}
-    winners = []
-    for reading in _READINGS:
-        values = {(d, g): _assemble(d, g, reading) for d, g in anchors}
-        evidence[reading.describe()] = values
-        if all(values[key] == targets[key] for key in values):
-            winners.append(reading)
-    if len(winners) != 1:
-        lines = ["anchors %r want %r" % (sorted(targets), [targets[k] for k in sorted(targets)])]
-        for label, values in evidence.items():
-            lines.append("  %s -> %r" % (label, [values[k] for k in sorted(values)]))
-        raise CalibrationError(
-            "%d readings match the anchors\n%s" % (len(winners), "\n".join(lines))
-        )
-    return winners[0]
-
-
-@lru_cache(maxsize=1)
-def _default_reading() -> NormalizationReading:
-    return calibrate_normalization()
+    mismatches = []
+    for d, g in anchors:
+        value = _assemble(d, g)
+        target = count_twisted(d, g, connected=True, budget=DEFAULT_BUDGET).value
+        if value != target:
+            mismatches.append("(%d, %d): graph sum %s, symgroup %s" % (d, g, value, target))
+    if mismatches:
+        raise CalibrationError("the derived prefactor misses the anchors\n  "
+                               + "\n  ".join(mismatches))
+    return _READING
 
 
 def normalization_reading() -> str:
-    """Label of the calibrated prefactor reading (calibrates on first use)."""
-    return _default_reading().describe()
+    """Label of the derived prefactor reading."""
+    return _READING
 
 
 def generating_series_coefficient(d: int, g: int) -> Fraction:
@@ -484,7 +464,7 @@ def generating_series_coefficient(d: int, g: int) -> Fraction:
         raise ValueError("the graph sum needs genus g > 2, got g=%r" % (g,))
     if d < 1:
         raise ValueError("degree must be positive, got %r" % (d,))
-    return _assemble(d, g, _default_reading())
+    return _assemble(d, g)
 
 
 def generating_series_export(g: int, max_degree: int) -> dict:

@@ -53,6 +53,13 @@ and the resulting quotient multiplicity (2^{g'} - delta_{0c}) * 2^{2g'-3} *
 (1/|Aut(qbar)|) * prod(omega_v - 1) * prod w(e) — are implemented as
 independent cross-checks, not trusted: verify_preimage_formula recomputes
 the left side from explicit lifts.
+
+Summed over the decorations of one labelled graph G (those without a
+weight-1 two-valent vertex), quotient_multiplicity equals G's term in the
+graph sum: 2^{g-1} (2^{g'} - delta_{0c}) / 2^{c+1} times G's balanced
+propagator coefficient over prod m!(G).  feynman.py's docstring derives
+this identity, which fixes the graph sum's prefactor, and the tests check
+it graph by graph.
 """
 
 from __future__ import annotations

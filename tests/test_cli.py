@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from twisted_hurwitz import cli, feynman
+from twisted_hurwitz import cli, factorizations
 from twisted_hurwitz.cli import RunRecord, main
 
 
@@ -201,28 +201,25 @@ def test_malformed_budget_env_still_replays_cache_hits(tmp_path, capsys, monkeyp
     assert (code, again, err) == (0, first, "")
 
 
-@pytest.fixture
-def fresh_calibration():
-    """Make the next feynman query calibrate again, under the test's env."""
-    feynman._default_reading.cache_clear()
-    yield
-    feynman._default_reading.cache_clear()
+def _symgroup_forbidden(*_args, **_kwargs):
+    raise AssertionError("a graph-sum query ran the symmetric-group pipeline")
 
 
 @pytest.mark.parametrize("env", ["abc", "10"])
-def test_budget_env_does_not_reach_calibration(tmp_path, capsys, monkeypatch,
-                                               fresh_calibration, env):
-    # the anchors are fixed internal points: a malformed or tiny TH_BUDGET
-    # must neither crash them on a miss nor on a hit (whose key needs the
-    # calibrated reading)
+def test_feynman_queries_run_no_symgroup(tmp_path, capsys, monkeypatch, env):
+    # the prefactor is derived, not calibrated: neither a miss nor its hit
+    # (whose key carries the reading) counts in the symmetric group, so a
+    # malformed or tiny TH_BUDGET reaches neither
     monkeypatch.setenv("TH_BUDGET", env)
+    for module, name in ((factorizations, "count_twisted"), (cli, "count_twisted"),
+                         (factorizations, "count_for_sigma")):
+        monkeypatch.setattr(module, name, _symgroup_forbidden)
     argv = compute_args(
         tmp_path, "--method", "feynman", "-d", "2", "-g", "3", "--format", "json"
     )
     code, first, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert json.loads(first)["numerator"] == "16"
-    feynman._default_reading.cache_clear()
+    assert RunRecord.from_dict(json.loads(first)).value == 16
     code, again, err = run(capsys, *argv)
     assert (code, again, err) == (0, first, "")
     assert (tmp_path / "cache.jsonl").read_text().count("\n") == 1
@@ -240,6 +237,27 @@ def test_cached_rerun_is_byte_identical(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2  # including wall_time_ms: the record is replayed verbatim
     assert (tmp_path / "cache.jsonl").read_text().count("\n") == 1
+
+
+def test_feynman_record_with_the_reading_label_replays(tmp_path, capsys, monkeypatch):
+    # a graph-sum record as written while the reading was still calibrated:
+    # the label is unchanged, so the record is a hit
+    line = json.dumps({
+        "method": "feynman", "d": 2, "g": 3, "connected": True,
+        "numerator": "16", "denominator": "1", "wall_time_ms": 5,
+        "tool_version": cli.__version__,
+        "normalization_reading": "2^(g-1) multiplies, #Aut divides",
+    }) + "\n"
+    (tmp_path / "cache.jsonl").write_text(line)
+
+    def graph_sum_forbidden(*_args, **_kwargs):
+        raise AssertionError("a cached graph-sum record was recomputed")
+
+    monkeypatch.setattr(cli, "generating_series_coefficient", graph_sum_forbidden)
+    code, out, err = run(capsys, *compute_args(
+        tmp_path, "--method", "feynman", "-d", "2", "-g", "3", "--format", "json"))
+    assert (code, out, err) == (0, line, "")
+    assert (tmp_path / "cache.jsonl").read_text() == line
 
 
 def test_version_bump_misses_the_cache(tmp_path, capsys, monkeypatch):

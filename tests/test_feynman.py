@@ -10,7 +10,6 @@ from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.feynman import (
     ANCHOR_POINTS,
     CalibrationError,
-    NormalizationReading,
     calibrate_normalization,
     direct_cover_sum,
     feynman_integral,
@@ -26,6 +25,7 @@ from twisted_hurwitz.graphs import (
     canonical_form,
     enumerate_graphs,
     labelled_graphs,
+    multiset_automorphisms,
     relabel,
     vertex_automorphisms,
     vertex_profiles,
@@ -273,7 +273,6 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
-    normalization_reading()  # calibrate first: its rejected reading may search
     graphs._labelled_graphs.cache_clear()
     feynman._balanced_sum.cache_clear()
 
@@ -290,7 +289,6 @@ def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch
 
 
 def test_both_graph_pipelines_share_one_labelled_list():
-    normalization_reading()  # calibration enumerates graphs of its own
     plain = graphs.labelled_graphs(4, 2)
     assert plain is graphs.labelled_graphs(4, 2, False)
     assert plain is graphs.labelled_graphs(4, 2, allow_loops=False)
@@ -309,22 +307,41 @@ def test_counts_beyond_the_desk_grid():
     assert generating_series_coefficient(4, 5) == 319232 == Fraction(122585088, 384)
 
 
-# -- calibration and assembly ------------------------------------------------------
+# -- prefactor and assembly --------------------------------------------------------
+
+#: d <= 3 at g = 3..5, and the frontier points the graph sum is tested at
+IDENTITY_POINTS = tuple((d, g) for g in (3, 4, 5) for d in (1, 2, 3)) + (
+    (4, 4), (4, 5), (2, 6), (3, 6))
 
 
-def test_calibration_selects_one_reading():
-    reading = calibrate_normalization()
-    assert reading == NormalizationReading(
-        genus_factor_exponent=1, automorphism_exponent=-1
-    )
-    assert reading.describe() == "2^(g-1) multiplies, #Aut divides"
-    assert normalization_reading() == reading.describe()
+@pytest.mark.parametrize("d,g", IDENTITY_POINTS)
+def test_prefactor_is_the_tropical_count_graph_by_graph(d, g):
+    # per labelled graph G: the tropical multiplicities of G's decorations
+    # (weight-1 two-valent vertices dropped, as tropical drops them) sum to
+    # G's graph-sum term 2^(g-1) (2^g' - delta_0c) / 2^(c+1) * f(G) / prod m!(G)
+    s = g - 1
+    for t, c in vertex_profiles(g):
+        weight = Fraction(2 ** (g - 1) * (2 ** (t // 2 + 1) - (c == 0)), 2 ** (c + 1))
+        for graph in labelled_graphs(t, c):
+            tropical_side = sum(
+                (tropical.quotient_multiplicity(edges, g)
+                 for edges in tropical._decorations(graph.edges, s, d)
+                 if 1 not in tropical._two_valent_weights(edges, s).values()),
+                Fraction(0))
+            graph_sum_side = weight * Fraction(feynman._balanced_sum(graph, d),
+                                               multiset_automorphisms(graph.edges))
+            assert tropical_side == graph_sum_side, (graph, d)
 
 
-def test_calibration_needs_discriminating_anchors():
-    # degree-1 counts vanish for every reading, so they cannot discriminate
-    with pytest.raises(CalibrationError, match="4 readings"):
-        calibrate_normalization(anchors=((1, 3), (1, 4)))
+def test_prefactor_reading_is_fixed():
+    assert normalization_reading() == "2^(g-1) multiplies, #Aut divides"
+    assert calibrate_normalization() == normalization_reading()
+
+
+def test_calibration_rejects_a_wrong_prefactor(monkeypatch):
+    monkeypatch.setattr(feynman, "_assemble", lambda d, g: Fraction(-1))
+    with pytest.raises(CalibrationError, match=r"\(2, 3\): graph sum -1, symgroup 16"):
+        calibrate_normalization()
 
 
 def test_anchor_points_reproduce_their_targets():
@@ -336,8 +353,8 @@ def test_anchor_points_reproduce_their_targets():
 
 
 def test_held_out_counts():
-    # these (d, g) played no role in fixing the prefactor; oracle: symmetric
-    # group and tropical pipelines agree on these values
+    # points off the anchors; oracle: the symmetric group and tropical
+    # pipelines agree on these values
     assert generating_series_coefficient(3, 3) == 132
     assert generating_series_coefficient(3, 4) == 1464
     assert generating_series_coefficient(1, 5) == 0
