@@ -37,12 +37,35 @@ by field.  The later of the two winners wins, so the result and the
 warnings are those of decoding every line.  A key value of another type,
 such as ``connected=1`` or ``d=True`` (equal to ``True`` and ``1`` under
 ``==`` but spelled differently), makes the lookup decode every line.
+
+A process that looks up many keys scans each byte once.  The module keeps
+the scan of the file it looked up last (one file's at most, keyed by path;
+``clear`` drops it): the bytes of its complete lines, through the last
+newline, their count and its non-canonical lines as (line number, record
+or None).  The file only grows by appends, so a later lookup first reads
+the file in 64 KiB chunks and checks that it still starts with exactly
+those bytes, then reads the rest into the same buffer and runs the regex
+and the line decoder over the appended complete lines only.  If any byte
+of the prefix differs (the file was truncated, rewritten, cleared or
+replaced) it scans afresh; no size, time stamp or checksum is trusted.
+Bytes after the last newline (a torn or still-being-written line) are
+decoded on every lookup and never kept.  The search above then runs over
+the kept bytes and replays the kept lines' warnings in file order, so the
+result and the warnings are still those of decoding every line.  The
+file's bytes are held once: they are read into one buffer that becomes
+the kept one, and later only the appended bytes are read, into a buffer
+the kept one is extended by.  A single lookup per process reads the file
+once and runs one regex pass, as it would without the kept scan.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
+import os
 import re
+import threading
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -115,6 +138,38 @@ def _last_canonical(data: bytes, head: bytes, tail: bytes):
     return None
 
 
+class _Scan:
+    """What lookups learned from the complete lines of one file: their
+    bytes, their count, and the non-canonical lines among them as (line
+    number, record or None), in file order."""
+
+    __slots__ = ("path", "data", "lines", "odd")
+
+    def __init__(self, path):
+        self.path, self.data, self.lines, self.odd = path, bytearray(), 0, []
+
+
+#: the scan of the file looked up last (one file's at most), and the lock
+#: that makes bringing it up to date and searching it one step
+_kept = None
+_kept_lock = threading.Lock()
+
+#: bytes per read when checking that a file still starts with a kept scan
+_CHUNK = 1 << 16
+
+
+def _starts_with(handle, data) -> bool:
+    """Whether the file open as *handle* starts with exactly *data*,
+    compared chunk by chunk; leaves *handle* just past the prefix."""
+    at = 0
+    while at < len(data):
+        chunk = handle.read(min(_CHUNK, len(data) - at))
+        if not chunk or not data.startswith(chunk, at):
+            return False
+        at += len(chunk)
+    return True
+
+
 class ResultCache:
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else DEFAULT_CACHE_PATH
@@ -125,15 +180,16 @@ class ResultCache:
         except FileNotFoundError:
             return b""
 
-    def _records(self, data: bytes):
-        """(line number, record) for every line of *data* holding a JSON
-        object, in file order; a line that is neither blank nor such an
-        object is skipped with a warning."""
-        lineno, at = 1, 0
+    @staticmethod
+    def _records(data, lineno=1):
+        """(line number, record or None) for every line of *data* that is
+        not blank, in file order and numbered from *lineno*; the record is
+        None when the line does not decode to a JSON object."""
+        at = 0
         for match in re.finditer(rb"[^\n]+", data):
             lineno += data.count(b"\n", at, match.start())
             at = match.start()
-            # bytes: a line that is not UTF-8 fails to decode and is skipped
+            # bytes: a line that is not UTF-8 fails to decode and reads as None
             line = match.group().strip()
             if not line:
                 continue
@@ -141,31 +197,74 @@ class ResultCache:
                 record = json.loads(line.decode("utf-8"))
             except ValueError:
                 record = None
-            if not isinstance(record, dict):
-                warnings.warn("skipping corrupt cache line %d in %s" % (lineno, self.path))
-                continue
-            yield lineno, record
+            yield lineno, record if isinstance(record, dict) else None
+
+    def _skip(self, lineno) -> None:
+        warnings.warn("skipping corrupt cache line %d in %s" % (lineno, self.path))
+
+    def _scan(self):
+        """The kept scan of this file brought up to date, and the bytes
+        after its last newline.  A kept scan is extended by the complete
+        lines appended since, if the file still starts with its bytes;
+        otherwise, and for another file, the file is scanned afresh."""
+        global _kept
+        scan = _kept if _kept is not None and _kept.path == self.path else None
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            _kept = _Scan(self.path)
+            return _kept, b""
+        with handle:
+            if scan is None or not _starts_with(handle, scan.data):
+                scan = _Scan(self.path)
+                handle.seek(0)
+            # the new bytes become or extend the kept buffer: the file is held once
+            new = bytearray(max(os.fstat(handle.fileno()).st_size - len(scan.data), 0))
+            del new[handle.readinto(new):]
+        cut = new.rfind(b"\n") + 1
+        tail = new[cut:]
+        del new[cut:]
+        # canonical lines become blank lines, so line numbers are kept
+        rest = _canonical_line().sub(b"\n", new)
+        odd = list(self._records(rest, scan.lines + 1))
+        if scan.data:
+            scan.data += new
+        else:
+            scan.data = new
+        scan.lines += rest.count(b"\n")
+        scan.odd += odd
+        _kept = scan
+        return scan, tail
 
     def entries(self) -> list:
         """All parseable records, in file order."""
-        return [record for _, record in self._records(self._read())]
+        found = []
+        for lineno, record in self._records(self._read()):
+            if record is None:
+                self._skip(lineno)
+            else:
+                found.append(record)
+        return found
 
     def lookup(self, key: dict):
         """The most recent record matching all KEY_FIELDS of *key*, or None."""
-        data = self._read()
         ends = _head_and_tail(key)
-        # canonical lines become blank lines, so line numbers are kept
-        rest = data if ends is None else _canonical_line().sub(b"\n", data)
-        found, found_line = None, 0
-        for lineno, record in self._records(rest):
-            if all(record.get(f) == key.get(f) for f in KEY_FIELDS):
-                found, found_line = record, lineno
-        if ends is not None:
-            match = _last_canonical(data, *ends)
-            # the canonical line's number is its count of earlier newlines + 1
-            if match and (found is None or data.count(b"\n", 0, match.start()) >= found_line):
-                found = json.loads(match.group())
-        return found
+        with _kept_lock:
+            scan, tail = self._scan()
+            lines = scan.odd if ends is not None else self._records(scan.data)
+            found, found_line = None, 0
+            for lineno, record in itertools.chain(lines, self._records(tail, scan.lines + 1)):
+                if record is None:
+                    self._skip(lineno)
+                elif all(record.get(f) == key.get(f) for f in KEY_FIELDS):
+                    found, found_line = record, lineno
+            if ends is not None:
+                match = _last_canonical(scan.data, *ends)
+                # the canonical line's number is its count of earlier newlines + 1
+                if match and (found is None or scan.data.count(b"\n", 0, match.start()) >= found_line):
+                    return json.loads(match.group())
+        # a kept record goes out as a copy, so that no caller can change it
+        return copy.deepcopy(found)
 
     def store(self, record: dict) -> None:
         """Append *record* as one line.  A last line left without its newline
@@ -181,5 +280,8 @@ class ResultCache:
             handle.write(line)
 
     def clear(self) -> None:
+        global _kept
+        with _kept_lock:
+            _kept = None
         if self.path.exists():
             self.path.unlink()

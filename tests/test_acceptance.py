@@ -88,19 +88,19 @@ def test_criterion_4_fock_equals_symmetric_group():
 
 
 def test_criterion_5_feynman_equals_symmetric_group_held_out():
-    grid = {(d, g) for d in (1, 2, 3) for g in (3, 4, 5)}
-    held_out = sorted(grid - set(ANCHOR_POINTS))
-    # the calibration anchors carry no evidence; everything else must pass
-    assert held_out == [(1, 5), (2, 5), (3, 3), (3, 4), (3, 5)]
-    for d, g in held_out:
+    # the prefactor is derived, not fitted, so the former calibration
+    # anchors are evidence like every other point
+    points = [(d, g) for d in (1, 2, 3) for g in (3, 4, 5)]
+    assert set(ANCHOR_POINTS) <= set(points)
+    for d, g in points:
         assert (
             generating_series_coefficient(d, g)
             == count_twisted(d, g, connected=True).value
         ), (d, g)
     print(
-        "criterion 5: PASS - graph sum == symmetric-group (connected) on the "
-        "held-out points %s (anchors %s excluded)"
-        % (held_out, sorted(ANCHOR_POINTS))
+        "criterion 5: PASS - graph sum == symmetric-group (connected) on all "
+        "%d points of {1,2,3}x{3,4,5}, anchors %s included"
+        % (len(points), sorted(ANCHOR_POINTS))
     )
 
 

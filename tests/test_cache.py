@@ -1,8 +1,10 @@
-"""ResultCache.lookup reads canonical lines by their bytes and decodes the
-rest; on every file it must answer and warn exactly as decoding every
-line does."""
+"""ResultCache.lookup reads canonical lines by their bytes, decodes the
+rest and keeps its scan of the file for later lookups; on every file, and
+after every change to it, it must answer and warn exactly as decoding
+every line does."""
 
 import json
+import os
 import warnings
 
 import pytest
@@ -107,6 +109,13 @@ def _record_line(fields, rng):
     return line
 
 
+def _random_fields(keys, rng):
+    """A record's fields in LINE_FIELDS order: one of *keys*, the rest from POOLS."""
+    fields = dict(rng.choice(keys))
+    return [(name, fields[name] if name in fields else rng.choice(POOLS[name]))
+            for name, _ in LINE_FIELDS]
+
+
 @st.composite
 def files_and_keys(draw):
     rng = draw(st.randoms(use_true_random=False))
@@ -117,10 +126,7 @@ def files_and_keys(draw):
         if rng.random() < 0.15:
             lines.append(rng.choice(ODD_LINES))
         else:
-            fields = dict(rng.choice(keys))
-            fields = [(name, fields[name] if name in fields else rng.choice(POOLS[name]))
-                      for name, _ in LINE_FIELDS]
-            lines.append(_record_line(fields, rng))
+            lines.append(_record_line(_random_fields(keys, rng), rng))
     data = b"\n".join(lines) + (b"\n" if lines and rng.random() < 0.8 else b"")
     key = dict(rng.choice(keys))
     roll = rng.random()
@@ -140,6 +146,74 @@ def test_lookup_answers_and_warns_as_decoding_every_line(tmp_path, file_and_key)
     assert answer_and_warnings(ResultCache(path).lookup, key) == answer_and_warnings(
         decode_every_line, path, key
     )
+
+
+#: what happens to a cache file between two lookups
+STEPS = ("store", "odd line", "torn write", "truncate", "same-length rewrite", "clear", "other file")
+
+
+def _append(path, data):
+    with open(path, "ab") as handle:
+        handle.write(data)
+
+
+def _rewrite_same_length(path, rng):
+    """Other bytes of the same length, under the old modification time:
+    digits become other digits (still canonical, other values), anything
+    else a byte that may break its line."""
+    data = bytearray(path.read_bytes())
+    if not data:
+        return
+    stat = path.stat()
+    start = rng.randrange(len(data))
+    for at in range(start, min(start + rng.randrange(1, 8), len(data))):
+        old = data[at]
+        data[at] = rng.choice([b for b in (b"0123456789" if old in b"0123456789" else b'x{" \n')
+                               if b != old])
+    path.write_bytes(bytes(data))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.randoms(use_true_random=True), st.lists(st.sampled_from(STEPS), max_size=12))
+def test_lookups_across_file_changes_answer_and_warn_as_decoding_every_line(tmp_path, rng, steps):
+    """One cache object and one path through a sequence of changes: a scan
+    kept from an earlier lookup (or an earlier example) must never show
+    through."""
+    path = tmp_path / "cache.jsonl"
+    path.unlink(missing_ok=True)
+    store = ResultCache(path)
+    keys = [{f: rng.choice(POOLS[f]) for f in KEY_FIELDS} for _ in range(rng.randrange(1, 4))]
+
+    def check(step):
+        for key in keys:
+            expected = answer_and_warnings(decode_every_line, path, key) if path.exists() else ("None", [])
+            assert answer_and_warnings(store.lookup, key) == expected, step
+
+    for step in ["store"] + steps:
+        if step == "store":
+            store.store(dict(_random_fields(keys, rng)))
+        elif step == "odd line":
+            if rng.random() < 0.3:
+                line = rng.choice(ODD_LINES)
+            else:
+                line = _record_line(_random_fields(keys, rng), rng)
+            _append(path, line + b"\n")
+        elif step == "torn write":
+            line = json.dumps(dict(_random_fields(keys, rng))).encode()
+            _append(path, line[: rng.randrange(len(line))])
+            check(step)
+            store.store(dict(_random_fields(keys, rng)))
+        elif step == "truncate" and path.exists():
+            os.truncate(path, rng.randrange(path.stat().st_size + 1))
+        elif step == "same-length rewrite" and path.exists():
+            _rewrite_same_length(path, rng)
+        elif step == "clear":
+            store.clear()
+        elif step == "other file":
+            path.write_bytes(b"".join(_record_line(_random_fields(keys, rng), rng) + b"\n"
+                                      for _ in range(rng.randrange(8))))
+        check(step)
 
 
 RECORD = RunRecord("fock", 0, 3, False, "16", "1", 4, "0.1", "").as_dict()
@@ -194,12 +268,17 @@ def test_off_type_key_values_match_as_under_equality(tmp_path):
 # -- the byte path is the path stored records take -------------------------------
 
 
-def test_a_hit_among_canonical_records_decodes_one_line(tmp_path, monkeypatch):
-    filler = [
+def canonical_filler(count):
+    """*count* stored lines of 140 keys, none of them a fock key."""
+    return [
         json.dumps(RunRecord("symgroup", 1 + i % 5, 3 + i % 4, i % 2 == 0, str(i), "1", i,
                              "0.0.%d" % (i % 7), "").as_dict()) + "\n"
-        for i in range(5000)
+        for i in range(count)
     ]
+
+
+def test_a_hit_among_canonical_records_decodes_one_line(tmp_path, monkeypatch):
+    filler = canonical_filler(5000)
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(filler[:2500]))
     wanted = RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "").as_dict()
@@ -216,6 +295,58 @@ def test_a_hit_among_canonical_records_decodes_one_line(tmp_path, monkeypatch):
     del decoded[:]
     assert store.lookup(dict(key, tool_version="0.2")) is None
     assert decoded == []
+
+
+class CountingPattern:
+    """The canonical-line regex, recording the bytes each ``sub`` runs over."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scanned = pattern, []
+
+    def sub(self, repl, data):
+        self.scanned.append(bytes(data))
+        return self.pattern.sub(repl, data)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+def test_a_later_lookup_scans_only_the_appended_lines(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    filler = canonical_filler(5000)
+    path.write_text("".join(filler))
+    store = ResultCache(path)
+    key = {f: json.loads(filler[2500])[f] for f in KEY_FIELDS}
+    assert store.lookup(key) == decode_every_line(path, key)
+    pattern = CountingPattern(cache._canonical_line())
+    monkeypatch.setattr(cache, "_canonical_line", lambda: pattern)
+    decoded = []
+    loads = cache.json.loads
+    monkeypatch.setattr(cache.json, "loads", lambda *a, **k: decoded.append(1) or loads(*a, **k))
+
+    assert store.lookup(key) is not None
+    assert sum(map(len, pattern.scanned)) == 0
+    assert len(decoded) <= 1
+
+    record = RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "").as_dict()
+    del pattern.scanned[:]
+    store.store(record)
+    assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
+    assert b"".join(pattern.scanned) == (json.dumps(record) + "\n").encode()
+
+    store.clear()
+    record = dict(record, numerator="17")
+    store.store(record)
+    assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
+
+
+def test_changing_a_returned_record_changes_no_later_answer(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(NEAR_CANONICAL[0] + "\n")
+    store = ResultCache(path)
+    key = {f: RECORD[f] for f in KEY_FIELDS}
+    store.lookup(key)["numerator"] = "changed"
+    assert store.lookup(key) == decode_every_line(path, key)
 
 
 def test_stored_records_are_canonical_lines(tmp_path, capsys):
