@@ -41,26 +41,30 @@ such as ``connected=1`` or ``d=True`` (equal to ``True`` and ``1`` under
 A process that looks up many keys scans each byte once.  The module keeps
 the scan of the file it looked up last (one file's at most, keyed by path;
 ``clear`` drops it): the bytes of its complete lines, through the last
-newline, their count and its non-canonical lines as (line number, record
-or None).  The file only grows by appends, so a later lookup first reads
-the file in 64 KiB chunks and checks that it still starts with exactly
-those bytes, then reads the rest into the same buffer and runs the regex
-and the line decoder over the appended complete lines only.  If any byte
-of the prefix differs (the file was truncated, rewritten, cleared or
-replaced) it scans afresh; no size, time stamp or checksum is trusted.
-Bytes after the last newline (a torn or still-being-written line) are
-decoded on every lookup and never kept.  The search above then runs over
-the kept bytes and replays the kept lines' warnings in file order, so the
-result and the warnings are still those of decoding every line.  The
-file's bytes are held once: they are read into one buffer that becomes
-the kept one, and later only the appended bytes are read, into a buffer
-the kept one is extended by.  A single lookup per process reads the file
-once and runs one regex pass, as it would without the kept scan.
+newline, their count and its non-canonical lines as (line number, bytes).
+The file only grows by appends, so a later lookup first reads the file in
+64 KiB chunks and checks that it still starts with exactly those bytes,
+then reads the rest into the same buffer and runs the regex over the
+appended complete lines only.  If any byte of the prefix differs (the
+file was truncated, rewritten, cleared or replaced) it scans afresh; no
+size, time stamp or checksum is trusted.  Bytes after the last newline (a
+torn or still-being-written line) are decoded on every lookup and never
+kept.  The search above then runs over the kept bytes, and the kept
+non-canonical lines are decoded again on each lookup and warn in file
+order, so the result and the warnings are still those of decoding every
+line and every record returned is freshly decoded.  Memory: the new bytes
+are read into the buffer that is kept, so the kept scan holds the file's
+complete lines once, its non-canonical lines a second time, and no
+decoded record, until the process ends or looks up another file.  A key
+value of another type bypasses the kept scan and decodes the file as
+read.  One lookup per process, as in each ``compute`` run of the command
+line, reads the file once and runs one regex pass, as it would without
+the kept scan; the gain is for a process that looks up many keys, such as
+a script that calls ``cli.main`` or ``ResultCache.lookup`` in a loop.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import os
@@ -141,7 +145,7 @@ def _last_canonical(data: bytes, head: bytes, tail: bytes):
 class _Scan:
     """What lookups learned from the complete lines of one file: their
     bytes, their count, and the non-canonical lines among them as (line
-    number, record or None), in file order."""
+    number, bytes), in file order."""
 
     __slots__ = ("path", "data", "lines", "odd")
 
@@ -181,26 +185,31 @@ class ResultCache:
             return b""
 
     @staticmethod
-    def _records(data, lineno=1):
-        """(line number, record or None) for every line of *data* that is
-        not blank, in file order and numbered from *lineno*; the record is
-        None when the line does not decode to a JSON object."""
+    def _lines(data, lineno=1):
+        """(line number, bytes) for every line of *data* that is not blank,
+        in file order and numbered from *lineno*; the bytes are stripped."""
         at = 0
         for match in re.finditer(rb"[^\n]+", data):
             lineno += data.count(b"\n", at, match.start())
             at = match.start()
-            # bytes: a line that is not UTF-8 fails to decode and reads as None
             line = match.group().strip()
-            if not line:
-                continue
+            if line:
+                yield lineno, line
+
+    def _records(self, lines):
+        """(line number, record) for every (line number, bytes) of *lines*
+        that holds a JSON object, in order; any other line is skipped with
+        a warning."""
+        for lineno, line in lines:
+            # bytes: a line that is not UTF-8 fails to decode and is skipped
             try:
                 record = json.loads(line.decode("utf-8"))
             except ValueError:
                 record = None
-            yield lineno, record if isinstance(record, dict) else None
-
-    def _skip(self, lineno) -> None:
-        warnings.warn("skipping corrupt cache line %d in %s" % (lineno, self.path))
+            if not isinstance(record, dict):
+                warnings.warn("skipping corrupt cache line %d in %s" % (lineno, self.path))
+                continue
+            yield lineno, record
 
     def _scan(self):
         """The kept scan of this file brought up to date, and the bytes
@@ -226,45 +235,42 @@ class ResultCache:
         del new[cut:]
         # canonical lines become blank lines, so line numbers are kept
         rest = _canonical_line().sub(b"\n", new)
-        odd = list(self._records(rest, scan.lines + 1))
+        scan.odd += self._lines(rest, scan.lines + 1)
         if scan.data:
             scan.data += new
         else:
             scan.data = new
         scan.lines += rest.count(b"\n")
-        scan.odd += odd
         _kept = scan
         return scan, tail
 
+    def _last_decoded(self, key: dict, lines):
+        """The last of *lines* whose record matches all KEY_FIELDS of *key*,
+        as (record, line number), or (None, 0)."""
+        found, found_line = None, 0
+        for lineno, record in self._records(lines):
+            if all(record.get(f) == key.get(f) for f in KEY_FIELDS):
+                found, found_line = record, lineno
+        return found, found_line
+
     def entries(self) -> list:
         """All parseable records, in file order."""
-        found = []
-        for lineno, record in self._records(self._read()):
-            if record is None:
-                self._skip(lineno)
-            else:
-                found.append(record)
-        return found
+        return [record for _, record in self._records(self._lines(self._read()))]
 
     def lookup(self, key: dict):
         """The most recent record matching all KEY_FIELDS of *key*, or None."""
         ends = _head_and_tail(key)
+        if ends is None:
+            return self._last_decoded(key, self._lines(self._read()))[0]
         with _kept_lock:
             scan, tail = self._scan()
-            lines = scan.odd if ends is not None else self._records(scan.data)
-            found, found_line = None, 0
-            for lineno, record in itertools.chain(lines, self._records(tail, scan.lines + 1)):
-                if record is None:
-                    self._skip(lineno)
-                elif all(record.get(f) == key.get(f) for f in KEY_FIELDS):
-                    found, found_line = record, lineno
-            if ends is not None:
-                match = _last_canonical(scan.data, *ends)
-                # the canonical line's number is its count of earlier newlines + 1
-                if match and (found is None or scan.data.count(b"\n", 0, match.start()) >= found_line):
-                    return json.loads(match.group())
-        # a kept record goes out as a copy, so that no caller can change it
-        return copy.deepcopy(found)
+            found, found_line = self._last_decoded(
+                key, itertools.chain(scan.odd, self._lines(tail, scan.lines + 1)))
+            match = _last_canonical(scan.data, *ends)
+            # the canonical line's number is its count of earlier newlines + 1
+            if match and (found is None or scan.data.count(b"\n", 0, match.start()) >= found_line):
+                return json.loads(match.group())
+        return found
 
     def store(self, record: dict) -> None:
         """Append *record* as one line.  A last line left without its newline

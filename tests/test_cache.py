@@ -5,6 +5,8 @@ every line does."""
 
 import json
 import os
+import sys
+import threading
 import warnings
 
 import pytest
@@ -265,6 +267,20 @@ def test_off_type_key_values_match_as_under_equality(tmp_path):
     assert store.lookup(dict(key, connected=0)) is None
 
 
+def test_an_off_type_key_runs_no_regex_and_keeps_no_scan(tmp_path, monkeypatch):
+    record = RunRecord("fock", 1, 3, True, "2", "1", 0, "0.1", "").as_dict()
+    store = ResultCache(tmp_path / "cache.jsonl")
+    store.store(record)
+    key = {f: record[f] for f in KEY_FIELDS}
+    store.lookup(key)
+    kept = cache._kept
+    pattern = CountingPattern(cache._canonical_line())
+    monkeypatch.setattr(cache, "_canonical_line", lambda: pattern)
+    store.store(record)
+    assert store.lookup(dict(key, connected=1)) == record
+    assert pattern.scanned == [] and cache._kept is kept and kept.lines == 1
+
+
 # -- the byte path is the path stored records take -------------------------------
 
 
@@ -347,6 +363,45 @@ def test_changing_a_returned_record_changes_no_later_answer(tmp_path):
     key = {f: RECORD[f] for f in KEY_FIELDS}
     store.lookup(key)["numerator"] = "changed"
     assert store.lookup(key) == decode_every_line(path, key)
+
+
+def test_threads_sharing_the_kept_scan_scan_each_byte_once(tmp_path, monkeypatch):
+    """More threads than cores store and look up through one path: each
+    must read back what it stored, and the regex must run over each byte
+    of the file once, which an update lost between two threads (a line
+    scanned twice, a kept scan that no longer matches the file) breaks."""
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(canonical_filler(2000)))
+    pattern = CountingPattern(cache._canonical_line())
+    monkeypatch.setattr(cache, "_canonical_line", lambda: pattern)
+    errors = []
+
+    def work(d):
+        store = ResultCache(path)
+        try:
+            for i in range(30):
+                record = RunRecord("fock", d, 3, False, str(i), "1", i, "0.1", "").as_dict()
+                store.store(record)
+                assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(d,)) for d in range(2 * (os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert ResultCache(path).lookup(dict({f: RECORD[f] for f in KEY_FIELDS}, tool_version="none")) is None
+    data = path.read_bytes()
+    assert sum(map(len, pattern.scanned)) == len(data)
+    assert bytes(cache._kept.data) == data and cache._kept.lines == data.count(b"\n")
 
 
 def test_stored_records_are_canonical_lines(tmp_path, capsys):
