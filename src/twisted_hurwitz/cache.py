@@ -1,9 +1,12 @@
 """Append-only result cache, one JSON object per line.
 
-A record is a flat dict; the fields in KEY_FIELDS identify the
-computation (method, parameters, tool version and — for the graph-sum
-pipeline — the derived normalization reading), the rest carry the
-result and timing.  Lookups scan the file and the last matching line
+A record is a flat dict, a ``RunRecord.as_dict()``; the fields in
+KEY_FIELDS identify the computation (method, parameters, tool version and
+— for the graph-sum pipeline — the derived normalization reading), the
+rest carry the result and timing.  ``RunRecord`` is defined here, next to
+the code that writes and reads its bytes: its annotated fields, in order,
+are the fields of a canonical line (LINE_FIELDS) and of every record the
+command line emits.  Lookups scan the file and the last matching line
 wins, so re-storing a key never requires rewriting the file.  Lines that
 fail to parse are reported as warnings and skipped: a damaged cache can
 cost a recomputation but never produce a wrong answer.
@@ -71,24 +74,48 @@ import os
 import re
 import threading
 import warnings
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import get_type_hints
 
 KEY_FIELDS = ("method", "d", "g", "connected", "tool_version", "normalization_reading")
 
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One answered query: its KEY_FIELDS, its exact value as numerator and
+    denominator strings, and the milliseconds it took."""
+
+    method: str
+    d: int
+    g: int
+    connected: bool
+    numerator: str
+    denominator: str
+    wall_time_ms: int
+    tool_version: str
+    normalization_reading: str
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name, _ in LINE_FIELDS}
+
+    @classmethod
+    def from_dict(cls, record: dict) -> "RunRecord":
+        """The record of a decoded line, each field converted to its type;
+        a line written before the normalization reading existed has ''."""
+        record = {"normalization_reading": "", **record}
+        return cls(*(kind(record[name]) for name, kind in LINE_FIELDS))
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(int(self.numerator), int(self.denominator))
+
+
 #: the fields of a canonical line in the order ``store`` writes a
 #: ``RunRecord``, with the type each decodes to
-LINE_FIELDS = (
-    ("method", str),
-    ("d", int),
-    ("g", int),
-    ("connected", bool),
-    ("numerator", str),
-    ("denominator", str),
-    ("wall_time_ms", int),
-    ("tool_version", str),
-    ("normalization_reading", str),
-)
+LINE_FIELDS = tuple(get_type_hints(RunRecord).items())
 
 #: canonical JSON spelling of a value of each type
 _SPELLING = {
@@ -289,5 +316,4 @@ class ResultCache:
         global _kept
         with _kept_lock:
             _kept = None
-        if self.path.exists():
-            self.path.unlink()
+        self.path.unlink(missing_ok=True)

@@ -9,6 +9,13 @@ pairwise identities.  ``export-covers`` writes the tropical quotient
 covers as JSON or DOT.  Exact rationals are always printed as
 numerator/denominator strings, never floats.
 
+Each method's domain is written once, in DOMAINS: every method needs
+degree d >= 1 and genus g at least its least genus (tropical enumeration
+places g-1 branch points, so g >= 2; the graph sum needs g > 2), and
+computes connected counts, disconnected counts or both; the first
+connectivity listed is ``compute``'s default.  ``compute`` refuses a query
+outside its method's domain, and ``validate`` leaves such a cell ``-``.
+
 Exit codes: 0 success, 2 incompatible parameters, 3 step budget
 exceeded, 4 unwritable export path.
 """
@@ -22,76 +29,40 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
-from .cache import DEFAULT_CACHE_PATH, ResultCache
+from .cache import DEFAULT_CACHE_PATH, ResultCache, RunRecord
 from .factorizations import BudgetExceeded, count_twisted, resolve_budget
 from .feynman import generating_series_coefficient, normalization_reading
 from .fock import elliptic_disconnected
 from .tropical import count_tropical, cover_to_dot, cover_to_json, enumerate_quotient_covers
 
-METHODS = ("symgroup", "tropical", "feynman", "fock")
-
-#: connected-vs-disconnected default when neither flag is given
-_DEFAULT_CONNECTED = {
-    "symgroup": True,
-    "tropical": True,
-    "feynman": True,
-    "fock": False,
+#: method -> (least genus, the connectivities it computes, default first)
+DOMAINS = {
+    "symgroup": (1, (True, False)),
+    "tropical": (2, (True,)),
+    "feynman": (3, (True,)),
+    "fock": (1, (False,)),
 }
+METHODS = tuple(DOMAINS)
+
+#: validate's value columns as (label, method, connected); every column
+#: after the two symgroup ones is checked against the symgroup column of
+#: its connectivity
+_COLUMNS = (
+    ("sym", "symgroup", True),
+    ("sym_disc", "symgroup", False),
+    ("tropical", "tropical", True),
+    ("feynman", "feynman", True),
+    ("fock", "fock", False),
+)
 
 EXIT_OK = 0
 EXIT_INCOMPATIBLE = 2
 EXIT_BUDGET = 3
 EXIT_UNWRITABLE = 4
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    method: str
-    d: int
-    g: int
-    connected: bool
-    numerator: str
-    denominator: str
-    wall_time_ms: int
-    tool_version: str
-    normalization_reading: str
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "d": self.d,
-            "g": self.g,
-            "connected": self.connected,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "wall_time_ms": self.wall_time_ms,
-            "tool_version": self.tool_version,
-            "normalization_reading": self.normalization_reading,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "RunRecord":
-        return cls(
-            method=record["method"],
-            d=int(record["d"]),
-            g=int(record["g"]),
-            connected=bool(record["connected"]),
-            numerator=str(record["numerator"]),
-            denominator=str(record["denominator"]),
-            wall_time_ms=int(record["wall_time_ms"]),
-            tool_version=str(record["tool_version"]),
-            normalization_reading=str(record.get("normalization_reading", "")),
-        )
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(int(self.numerator), int(self.denominator))
 
 
 def _replayable(hit: dict):
@@ -106,25 +77,16 @@ def _replayable(hit: dict):
     return record
 
 
-def _incompatibility(method: str, d: int, g: int, connected) -> str:
+def _incompatibility(method: str, d: int, g: int, connected: bool) -> str:
     """One-line reason the query is outside the method's domain, or ''."""
+    least_genus, connectivities = DOMAINS[method]
     if d < 1:
-        return "degree d must be a positive integer"
-    if g < 1:
-        return "genus g must be a positive integer"
-    if method == "tropical":
-        if g < 2:
-            return "tropical enumeration needs genus g >= 2 (it places g-1 branch points)"
-        if connected is False:
-            return "the tropical pipeline counts connected covers only"
-    elif method == "feynman":
-        if g <= 2:
-            return "the graph-sum pipeline is defined only for genus g > 2"
-        if connected is False:
-            return "the graph-sum pipeline computes connected counts only"
-    elif method == "fock":
-        if connected is True:
-            return "the operator pipeline computes disconnected counts only"
+        return "the %s pipeline needs degree d >= 1" % method
+    if g < least_genus:
+        return "the %s pipeline needs genus g >= %d" % (method, least_genus)
+    if connected not in connectivities:
+        return "the %s pipeline computes %s counts only" % (
+            method, "connected" if connectivities[0] else "disconnected")
     return ""
 
 
@@ -177,8 +139,8 @@ def cmd_compute(args, out=None, err=None) -> int:
     err = err or sys.stderr
     connected = args.connected
     if connected is None:
-        connected = _DEFAULT_CONNECTED[args.method]
-    reason = _incompatibility(args.method, args.degree, args.genus, args.connected)
+        connected = DOMAINS[args.method][1][0]
+    reason = _incompatibility(args.method, args.degree, args.genus, connected)
     if reason:
         print("incompatible parameters: %s" % reason, file=err)
         return EXIT_INCOMPATIBLE
@@ -213,17 +175,8 @@ def cmd_compute(args, out=None, err=None) -> int:
         return EXIT_BUDGET
     wall_ms = int(round((time.perf_counter() - start) * 1000))
 
-    record = RunRecord(
-        method=args.method,
-        d=args.degree,
-        g=args.genus,
-        connected=connected,
-        numerator=str(value.numerator),
-        denominator=str(value.denominator),
-        wall_time_ms=wall_ms,
-        tool_version=__version__,
-        normalization_reading=key["normalization_reading"],
-    )
+    record = RunRecord(numerator=str(value.numerator), denominator=str(value.denominator),
+                       wall_time_ms=wall_ms, **key)
     cache.store(record.as_dict())
     _emit(record, args.format, out)
     return EXIT_OK
@@ -240,41 +193,31 @@ def cmd_validate(args, out=None, err=None) -> int:
     skips = 0
     for g in range(1, args.g_max + 1):
         for d in range(1, args.d_max + 1):
-            def guarded(fn):
-                nonlocal skips
-                try:
-                    return fn()
-                except BudgetExceeded:
-                    skips += 1
-                    return None
-
-            sym_conn = guarded(lambda: count_twisted(d, g, connected=True, budget=budget).value)
-            sym_disc = guarded(lambda: count_twisted(d, g, connected=False, budget=budget).value)
-            trop = count_tropical(d, g) if g >= 2 else None
-            feyn = generating_series_coefficient(d, g) if g > 2 else None
-            fock = elliptic_disconnected(d, g)
-
+            values = {}
+            for label, method, connected in _COLUMNS:
+                values[label] = None  # outside the method's domain, or over budget
+                if not _incompatibility(method, d, g, connected):
+                    try:
+                        values[label] = _compute_value(method, d, g, connected, budget)
+                    except BudgetExceeded:
+                        skips += 1
             cells = ["d=%d g=%d" % (d, g)]
-            cells.append("sym=%s" % _cell(sym_conn))
-            cells.append("sym_disc=%s" % _cell(sym_disc))
-            cells.append("tropical=%s" % _cell(trop))
-            cells.append("feynman=%s" % _cell(feyn))
-            cells.append("fock=%s" % _cell(fock))
+            cells += ["%s=%s" % (label, "-" if v is None else v) for label, v in values.items()]
 
             verdicts = []
-            for label, left, right in (
-                ("tropical==sym", trop, sym_conn),
-                ("feynman==sym", feyn, sym_conn),
-                ("fock==sym_disc", fock, sym_disc),
-            ):
+            for label, _method, connected in _COLUMNS[2:]:
+                left = values[label]
                 if left is None:
                     continue  # method not applicable at this (d, g)
+                reference = "sym" if connected else "sym_disc"
+                right = values[reference]
+                identity = "%s==%s" % (label, reference)
                 if right is None:
-                    verdicts.append("%s:SKIP" % label)
+                    verdicts.append("%s:SKIP" % identity)
                 elif left == right:
-                    verdicts.append("%s:PASS" % label)
+                    verdicts.append("%s:PASS" % identity)
                 else:
-                    verdicts.append("%s:FAIL" % label)
+                    verdicts.append("%s:FAIL" % identity)
                     failures += 1
             print("  ".join(cells) + "  |  " + (" ".join(verdicts) or "-"), file=out)
     summary = "validate: %s" % ("all identities PASS" if failures == 0 else "%d FAIL" % failures)
@@ -284,14 +227,10 @@ def cmd_validate(args, out=None, err=None) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def _cell(value) -> str:
-    return "-" if value is None else str(value)
-
-
 def cmd_export_covers(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    reason = _incompatibility("tropical", args.degree, args.genus, None)
+    reason = _incompatibility("tropical", args.degree, args.genus, True)
     if reason:
         print("incompatible parameters: %s" % reason, file=err)
         return EXIT_INCOMPATIBLE

@@ -328,10 +328,8 @@ class CoverMultiplicity:
     quotient_genus: int
 
 
-def cover_multiplicity(cover: QuotientCover, g=None) -> CoverMultiplicity:
+def cover_multiplicity(cover: QuotientCover) -> CoverMultiplicity:
     """Multiplicity of one twisted cover (quotient + lift class)."""
-    if g is not None and g != cover.g:
-        raise ValueError("cover was enumerated for g=%d, asked for g=%d" % (cover.g, g))
     g = cover.g
     c = cover.four_valent_count
     gp = cover.quotient_genus
@@ -400,16 +398,14 @@ def count_tropical(d: int, g: int) -> Fraction:
     return total
 
 
-def verify_preimage_formula(cover: QuotientCover, g=None) -> bool:
+def verify_preimage_formula(cover: QuotientCover) -> bool:
     """Recompute sum over lift classes of 1/|Aut| from explicit double
     covers and compare with (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|)."""
-    details = preimage_details(cover, g)
+    details = preimage_details(cover)
     return details["lift_sum"] == details["closed_form"]
 
 
-def preimage_details(cover: QuotientCover, g=None) -> dict:
-    if g is not None and g != cover.g:
-        raise ValueError("cover was enumerated for g=%d, asked for g=%d" % (cover.g, g))
+def preimage_details(cover: QuotientCover) -> dict:
     edges = cover.edges
     s = cover.positions
     if len(edges) > 12:

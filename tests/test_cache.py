@@ -413,3 +413,12 @@ def test_stored_records_are_canonical_lines(tmp_path, capsys):
     assert main(["compute", "--cache-file", str(path), "--method", "fock", "-d", "2", "-g", "3"]) == 0
     capsys.readouterr()
     assert cache._canonical_line().fullmatch(path.read_bytes())
+
+
+def test_clear_after_another_clear_removed_the_file(tmp_path, monkeypatch):
+    """Two clears at once: the file can be gone by the time one of them
+    unlinks it, and that clear must still succeed."""
+    path = tmp_path / "cache.jsonl"
+    monkeypatch.setattr(type(path), "exists", lambda self: True)
+    ResultCache(path).clear()
+    assert not os.path.lexists(path)

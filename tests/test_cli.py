@@ -132,21 +132,34 @@ def test_threads_flag_keeps_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ("--method", "tropical", "-d", "2", "-g", "1"),
-        ("--method", "tropical", "-d", "2", "-g", "3", "--disconnected"),
-        ("--method", "feynman", "-d", "2", "-g", "2"),
-        ("--method", "fock", "-d", "2", "-g", "3", "--connected"),
-        ("--method", "symgroup", "-d", "0", "-g", "3"),
-        ("--method", "symgroup", "-d", "2", "-g", "0"),
+        (("compute", "--method", "tropical", "-d", "2", "-g", "1"),
+         "the tropical pipeline needs genus g >= 2"),
+        (("compute", "--method", "tropical", "-d", "2", "-g", "3", "--disconnected"),
+         "the tropical pipeline computes connected counts only"),
+        (("compute", "--method", "feynman", "-d", "2", "-g", "2"),
+         "the feynman pipeline needs genus g >= 3"),
+        (("compute", "--method", "feynman", "-d", "2", "-g", "3", "--disconnected"),
+         "the feynman pipeline computes connected counts only"),
+        (("compute", "--method", "fock", "-d", "2", "-g", "3", "--connected"),
+         "the fock pipeline computes disconnected counts only"),
+        (("compute", "--method", "symgroup", "-d", "0", "-g", "3"),
+         "the symgroup pipeline needs degree d >= 1"),
+        (("compute", "--method", "symgroup", "-d", "2", "-g", "0"),
+         "the symgroup pipeline needs genus g >= 1"),
+        (("export-covers", "-d", "2", "-g", "1"),
+         "the tropical pipeline needs genus g >= 2"),
+        (("export-covers", "-d", "0", "-g", "3"),
+         "the tropical pipeline needs degree d >= 1"),
     ],
 )
-def test_incompatible_parameters_exit_2(tmp_path, capsys, argv):
-    code, out, err = run(capsys, *compute_args(tmp_path, *argv))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("incompatible parameters:")
+def test_incompatible_parameters_exit_2(tmp_path, capsys, argv, reason):
+    where = ("--cache-file", str(tmp_path / "cache.jsonl")) if argv[0] == "compute" else (
+        "--out", str(tmp_path / "covers.json"))
+    code, out, err = run(capsys, *argv, *where)
+    assert (code, out, err) == (2, "", "incompatible parameters: %s\n" % reason)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_explicit_connected_flag_is_accepted_where_valid(tmp_path, capsys):
@@ -226,6 +239,16 @@ def test_feynman_queries_run_no_symgroup(tmp_path, capsys, monkeypatch, env):
 
 
 # -- cache ----------------------------------------------------------------------
+
+
+def test_record_from_dict_converts_and_defaults_the_reading():
+    record = RunRecord.from_dict({
+        "method": "fock", "d": "2", "g": 3.0, "connected": 0, "numerator": 16,
+        "denominator": 1, "wall_time_ms": "4", "tool_version": "0.1",
+    })
+    assert record == RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "")
+    assert [type(v) for v in record.as_dict().values()] == [
+        str, int, int, bool, str, str, int, str, str]
 
 
 def test_cached_rerun_is_byte_identical(tmp_path, capsys):
@@ -391,6 +414,43 @@ def test_validate_small_grid(tmp_path, capsys):
     assert "tropical=-" in row11 and "feynman=-" in row11
 
 
+VALIDATE_D3_G5 = """\
+d=1 g=1  sym=1/2  sym_disc=1  tropical=-  feynman=-  fock=1  |  fock==sym_disc:PASS
+d=2 g=1  sym=3/4  sym_disc=2  tropical=-  feynman=-  fock=2  |  fock==sym_disc:PASS
+d=3 g=1  sym=2/3  sym_disc=3  tropical=-  feynman=-  fock=3  |  fock==sym_disc:PASS
+d=1 g=2  sym=0  sym_disc=0  tropical=0  feynman=-  fock=0  |  tropical==sym:PASS fock==sym_disc:PASS
+d=2 g=2  sym=2  sym_disc=2  tropical=2  feynman=-  fock=2  |  tropical==sym:PASS fock==sym_disc:PASS
+d=3 g=2  sym=6  sym_disc=8  tropical=6  feynman=-  fock=8  |  tropical==sym:PASS fock==sym_disc:PASS
+d=1 g=3  sym=0  sym_disc=0  tropical=0  feynman=0  fock=0  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=2 g=3  sym=16  sym_disc=20  tropical=16  feynman=16  fock=20  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=3 g=3  sym=132  sym_disc=184  tropical=132  feynman=132  fock=184  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=1 g=4  sym=0  sym_disc=0  tropical=0  feynman=0  fock=0  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=2 g=4  sym=56  sym_disc=56  tropical=56  feynman=56  fock=56  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=3 g=4  sym=1464  sym_disc=1520  tropical=1464  feynman=1464  fock=1520  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=1 g=5  sym=0  sym_disc=0  tropical=0  feynman=0  fock=0  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=2 g=5  sym=256  sym_disc=272  tropical=256  feynman=256  fock=272  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=3 g=5  sym=20496  sym_disc=22048  tropical=20496  feynman=20496  fock=22048  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+validate: all identities PASS
+"""
+
+VALIDATE_D2_G4_BUDGET_10 = """\
+d=1 g=1  sym=1/2  sym_disc=1  tropical=-  feynman=-  fock=1  |  fock==sym_disc:PASS
+d=2 g=1  sym=-  sym_disc=-  tropical=-  feynman=-  fock=2  |  fock==sym_disc:SKIP
+d=1 g=2  sym=0  sym_disc=0  tropical=0  feynman=-  fock=0  |  tropical==sym:PASS fock==sym_disc:PASS
+d=2 g=2  sym=-  sym_disc=-  tropical=2  feynman=-  fock=2  |  tropical==sym:SKIP fock==sym_disc:SKIP
+d=1 g=3  sym=0  sym_disc=0  tropical=0  feynman=0  fock=0  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=2 g=3  sym=-  sym_disc=-  tropical=16  feynman=16  fock=20  |  tropical==sym:SKIP feynman==sym:SKIP fock==sym_disc:SKIP
+d=1 g=4  sym=0  sym_disc=0  tropical=0  feynman=0  fock=0  |  tropical==sym:PASS feynman==sym:PASS fock==sym_disc:PASS
+d=2 g=4  sym=-  sym_disc=-  tropical=56  feynman=56  fock=56  |  tropical==sym:SKIP feynman==sym:SKIP fock==sym_disc:SKIP
+validate: all identities PASS (8 budget SKIPs)
+"""
+
+
+def test_validate_desk_grid_output(capsys, monkeypatch):
+    monkeypatch.delenv("TH_BUDGET", raising=False)
+    assert run(capsys, "validate", "-d", "3", "-g", "5") == (0, VALIDATE_D3_G5, "")
+
+
 def test_validate_malformed_budget_env_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("TH_BUDGET", "abc")
     code, out, err = run(capsys, "validate", "-d", "1", "-g", "1")
@@ -398,12 +458,9 @@ def test_validate_malformed_budget_env_exit_2(capsys, monkeypatch):
     assert err == "incompatible parameters: TH_BUDGET must be an integer, got 'abc'\n"
 
 
-def test_validate_budget_skips(tmp_path, capsys):
-    code, out, _ = run(capsys, "validate", "-d", "2", "-g", "4", "--budget", "10")
-    assert code == 0
-    assert "SKIP" in out
-    assert "FAIL" not in out
-    assert "budget SKIPs" in out.splitlines()[-1]
+def test_validate_budget_skips(capsys):
+    code, out, err = run(capsys, "validate", "-d", "2", "-g", "4", "--budget", "10")
+    assert (code, out, err) == (0, VALIDATE_D2_G4_BUDGET_10, "")
 
 
 # -- export ----------------------------------------------------------------------
@@ -449,14 +506,6 @@ def test_export_covers_dot_without_covers(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out.strip() == "0 covers at d=1 g=3 -> %s" % target
     assert list(target.iterdir()) == []
-
-
-def test_export_covers_rejects_genus_1(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "export-covers", "-d", "2", "-g", "1", "--out", str(tmp_path / "x.json"),
-    )
-    assert code == 2 and "incompatible parameters" in err
 
 
 def test_export_covers_unwritable_path_exit_4(capsys):

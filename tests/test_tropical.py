@@ -283,11 +283,6 @@ def test_constructor_and_argument_validation():
         QuotientCover(
             d=2, g=3, edges=((0, 1, 0, 1),), lift=(0, 1), lift_automorphisms=1
         )
-    cover = enumerate_quotient_covers(2, 3)[0]
-    with pytest.raises(ValueError):
-        cover_multiplicity(cover, g=4)
-    with pytest.raises(ValueError):
-        preimage_details(cover, g=4)
     with pytest.raises(ValueError):
         enumerate_quotient_covers(0, 3)
     with pytest.raises(ValueError):
