@@ -20,13 +20,11 @@ of integers that must cancel); nothing is floated.
 from .factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    HurwitzQuery,
     HurwitzResult,
     KERNEL_BACKEND,
     count_classical,
     count_twisted,
     enumerate_twisted_tuples,
-    resolve_budget,
 )
 from .feynman import (
     CalibrationError,
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "FeynmanGraph",
     "GraphClass",
-    "HurwitzQuery",
     "HurwitzResult",
     "KERNEL_BACKEND",
     "NonRationalIntegral",
@@ -102,7 +99,6 @@ __all__ = [
     "normalization_reading",
     "propagator",
     "propagator_coefficient",
-    "resolve_budget",
     "twisted_double_disconnected",
     "verify_preimage_formula",
     "__version__",

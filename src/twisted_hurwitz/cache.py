@@ -104,8 +104,8 @@ class RunRecord:
     @classmethod
     def from_dict(cls, record: dict) -> "RunRecord":
         """The record of a decoded line, each field converted to its type;
-        a line written before the normalization reading existed has ''."""
-        record = {"normalization_reading": "", **record}
+        KeyError when a field is missing, as for a line without a key
+        field, which matches no lookup key either."""
         return cls(*(kind(record[name]) for name, kind in LINE_FIELDS))
 
     @property

@@ -87,11 +87,10 @@ budget raises BudgetExceeded instead of running for hours.  The projection
 is the size of the tuple tree a direct search would walk (sigmas times
 transposition sequences times alphas), not the smaller work of the dynamic
 program, and it comes from the closed-form sizes of those sets, so a
-refused query builds none of them.  The default budget is 10**9 nodes and
-may be overridden per call or via the TH_BUDGET environment variable.
+refused query builds none of them.  The budget is the *budget* argument,
+10**9 nodes when it is omitted.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -113,36 +112,14 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, projected, budget):
         super().__init__(
             "projected search size %d exceeds budget %d; "
-            "pass a larger budget= or set TH_BUDGET" % (projected, budget)
+            "pass a larger budget= (--budget)" % (projected, budget)
         )
         self.projected = projected
         self.budget = budget
 
 
-def resolve_budget(budget=None):
-    """Explicit argument wins, then TH_BUDGET, then the default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("TH_BUDGET")
-    if env is not None and env.strip():
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("TH_BUDGET must be an integer, got %r" % env) from None
-    return DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
-class HurwitzQuery:
-    kind: str  # "twisted" | "classical"
-    d: int
-    g: int
-    connected: bool
-
-
 @dataclass(frozen=True)
 class HurwitzResult:
-    query: HurwitzQuery
     tuple_count: int
     normalization: int
     value: Fraction
@@ -152,21 +129,21 @@ class HurwitzResult:
 
 def _admit(d, g, budget, projected):
     """Reject a bad (d, g), then refuse the query if projected(d, g)
-    exceeds the budget; called before any table is built."""
+    exceeds the budget (DEFAULT_BUDGET when None); called before any
+    table is built."""
     if d < 1:
         raise ValueError("degree d must be >= 1, got %r" % (d,))
     if g < 1:
         raise ValueError("genus g must be >= 1, got %r" % (g,))
-    limit = resolve_budget(budget)
+    limit = DEFAULT_BUDGET if budget is None else int(budget)
     size = projected(d, g)
     if size > limit:
         raise BudgetExceeded(size, limit)
 
 
-def _result(kind, d, g, connected, total, norm, start):
+def _result(total, norm, start):
     """*total* tuples over *norm*, timed from *start* (a perf_counter)."""
     return HurwitzResult(
-        query=HurwitzQuery(kind, d, g, connected),
         tuple_count=total,
         normalization=norm,
         value=Fraction(total, norm),
@@ -347,7 +324,7 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         )
         for sigma, size in _sigma_orbits(d)
     )
-    return _result("twisted", d, g, connected, total, 2**d * factorial(d), start)
+    return _result(total, 2**d * factorial(d), start)
 
 
 def enumerate_twisted_tuples(d, g, connected=True, budget=None):
@@ -406,4 +383,4 @@ def count_classical(d, g, connected=True, budget=None):
         size * _finish(layer, pi, group, _alpha_lookup(pi, group), connected)
         for _, pi, size in _classes(d)
     )
-    return _result("classical", d, g, connected, total, factorial(d), start)
+    return _result(total, factorial(d), start)

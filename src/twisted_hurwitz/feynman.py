@@ -110,7 +110,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .factorizations import DEFAULT_BUDGET, count_twisted
+from .factorizations import count_twisted
 from .graphs import FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms
 # no counting path calls enumerate_graphs; the name stays because the
 # graphs.enumerate probe in perfbench/probes.py wraps feynman.enumerate_graphs
@@ -439,12 +439,10 @@ def calibrate_normalization(anchors=ANCHOR_POINTS) -> str:
     """Check the derived prefactor against the symmetric-group count at
     the anchor (d, g) and return its label; raise CalibrationError on a
     mismatch.  No query runs this check."""
-    # the anchors are fixed small points, so they run under the default
-    # budget whatever TH_BUDGET says
     mismatches = []
     for d, g in anchors:
         value = _assemble(d, g)
-        target = count_twisted(d, g, connected=True, budget=DEFAULT_BUDGET).value
+        target = count_twisted(d, g, connected=True).value
         if value != target:
             mismatches.append("(%d, %d): graph sum %s, symgroup %s" % (d, g, value, target))
     if mismatches:

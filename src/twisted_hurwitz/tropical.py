@@ -71,7 +71,6 @@ from itertools import product as iproduct
 from operator import xor
 
 from .graphs import (
-    FeynmanGraph,
     connected,
     labelled_graphs,
     multiset_automorphisms,
@@ -311,11 +310,6 @@ class QuotientCover:
 
     def two_valent_weights(self):
         return _two_valent_weights(self.edges, self.positions)
-
-    def graph(self) -> FeynmanGraph:
-        return FeynmanGraph(
-            self.positions, tuple((min(i, j), max(i, j)) for i, j, _k, _w in self.edges)
-        )
 
     def degree_over_base(self):
         return sum(w * k for _i, _j, k, w in self.edges)

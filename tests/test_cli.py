@@ -187,30 +187,22 @@ def test_budget_flag_exit_3(tmp_path, capsys):
     assert "step budget exceeded" in err
 
 
-def test_budget_env_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TH_BUDGET", "10")
-    code, _, err = run(
-        capsys, *compute_args(tmp_path, "--method", "symgroup", "-d", "2", "-g", "3")
-    )
-    assert code == 3 and "step budget exceeded" in err
+def test_malformed_budget_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(compute_args(
+            tmp_path, "--method", "symgroup", "-d", "2", "-g", "3", "--budget", "abc")))
+    assert exc.value.code == 2
+    assert "--budget: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
-def test_malformed_budget_env_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TH_BUDGET", "abc")
-    code, out, err = run(
-        capsys, *compute_args(tmp_path, "--method", "symgroup", "-d", "2", "-g", "3")
-    )
-    assert (code, out) == (2, "")
-    assert err == "incompatible parameters: TH_BUDGET must be an integer, got 'abc'\n"
-
-
-def test_malformed_budget_env_still_replays_cache_hits(tmp_path, capsys, monkeypatch):
+def test_tiny_budget_still_replays_cache_hits(tmp_path, capsys):
+    # a hit is served before any search, so the budget never reaches it
     argv = compute_args(
         tmp_path, "--method", "symgroup", "-d", "2", "-g", "3", "--format", "json"
     )
     _, first, _ = run(capsys, *argv)
-    monkeypatch.setenv("TH_BUDGET", "abc")
-    code, again, err = run(capsys, *argv)
+    code, again, err = run(capsys, *argv, "--budget", "1")
     assert (code, again, err) == (0, first, "")
 
 
@@ -218,17 +210,16 @@ def _symgroup_forbidden(*_args, **_kwargs):
     raise AssertionError("a graph-sum query ran the symmetric-group pipeline")
 
 
-@pytest.mark.parametrize("env", ["abc", "10"])
-def test_feynman_queries_run_no_symgroup(tmp_path, capsys, monkeypatch, env):
+def test_feynman_queries_run_no_symgroup(tmp_path, capsys, monkeypatch):
     # the prefactor is derived, not calibrated: neither a miss nor its hit
     # (whose key carries the reading) counts in the symmetric group, so a
-    # malformed or tiny TH_BUDGET reaches neither
-    monkeypatch.setenv("TH_BUDGET", env)
+    # tiny budget reaches neither
     for module, name in ((factorizations, "count_twisted"), (cli, "count_twisted"),
                          (factorizations, "count_for_sigma")):
         monkeypatch.setattr(module, name, _symgroup_forbidden)
     argv = compute_args(
-        tmp_path, "--method", "feynman", "-d", "2", "-g", "3", "--format", "json"
+        tmp_path, "--method", "feynman", "-d", "2", "-g", "3", "--format", "json",
+        "--budget", "1"
     )
     code, first, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -241,14 +232,32 @@ def test_feynman_queries_run_no_symgroup(tmp_path, capsys, monkeypatch, env):
 # -- cache ----------------------------------------------------------------------
 
 
-def test_record_from_dict_converts_and_defaults_the_reading():
+def test_record_from_dict_converts_each_field():
     record = RunRecord.from_dict({
         "method": "fock", "d": "2", "g": 3.0, "connected": 0, "numerator": 16,
         "denominator": 1, "wall_time_ms": "4", "tool_version": "0.1",
+        "normalization_reading": "",
     })
     assert record == RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "")
     assert [type(v) for v in record.as_dict().values()] == [
         str, int, int, bool, str, str, int, str, str]
+
+
+def test_record_without_the_reading_neither_loads_nor_serves(tmp_path, capsys):
+    # one rule: a line without normalization_reading matches no lookup key,
+    # and it does not load as a RunRecord either
+    stale = {
+        "method": "fock", "d": 2, "g": 3, "connected": False, "numerator": "99",
+        "denominator": "1", "wall_time_ms": 4, "tool_version": cli.__version__,
+    }
+    with pytest.raises(KeyError):
+        RunRecord.from_dict(stale)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps(stale) + "\n")
+    code, out, err = run(capsys, *compute_args(tmp_path, "--method", "fock", "-d", "2", "-g", "3"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "20"
+    assert cache.read_text().count("\n") == 2
 
 
 def test_cached_rerun_is_byte_identical(tmp_path, capsys):
@@ -446,16 +455,17 @@ validate: all identities PASS (8 budget SKIPs)
 """
 
 
-def test_validate_desk_grid_output(capsys, monkeypatch):
-    monkeypatch.delenv("TH_BUDGET", raising=False)
+def test_validate_desk_grid_output(capsys):
     assert run(capsys, "validate", "-d", "3", "-g", "5") == (0, VALIDATE_D3_G5, "")
 
 
-def test_validate_malformed_budget_env_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("TH_BUDGET", "abc")
-    code, out, err = run(capsys, "validate", "-d", "1", "-g", "1")
-    assert (code, out) == (2, "")
-    assert err == "incompatible parameters: TH_BUDGET must be an integer, got 'abc'\n"
+def test_validate_malformed_budget_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "-d", "1", "-g", "1", "--budget", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget: invalid int value: 'abc'" in captured.err
 
 
 def test_validate_budget_skips(capsys):

@@ -23,7 +23,6 @@ from twisted_hurwitz.factorizations import (
     count_classical,
     count_twisted,
     enumerate_twisted_tuples,
-    resolve_budget,
 )
 
 
@@ -222,16 +221,11 @@ def test_tuple_set_is_stable_under_hyperoctahedral_conjugation():
 # -- budget handling -----------------------------------------------------------
 
 
-def test_budget_projection_and_override(monkeypatch):
-    monkeypatch.delenv("TH_BUDGET", raising=False)
-    assert resolve_budget() == DEFAULT_BUDGET
-    assert resolve_budget(123) == 123
-    monkeypatch.setenv("TH_BUDGET", "777")
-    assert resolve_budget() == 777
-    assert resolve_budget(123) == 123  # explicit argument still wins
-    monkeypatch.setenv("TH_BUDGET", "many")
-    with pytest.raises(ValueError):
-        resolve_budget()
+def test_omitted_budget_is_the_default():
+    with pytest.raises(BudgetExceeded) as exc:
+        count_twisted(8, 2)
+    assert exc.value.budget == DEFAULT_BUDGET
+    assert exc.value.projected > DEFAULT_BUDGET
 
 
 def test_budget_exceeded_reports_projection():
@@ -275,14 +269,6 @@ def test_budget_refusal_builds_no_tables(monkeypatch):
             list(enumerate_twisted_tuples(8, g, budget=10))
         with pytest.raises(BudgetExceeded):
             count_classical(8, g, budget=10)
-
-
-def test_budget_env_respected(monkeypatch):
-    monkeypatch.setenv("TH_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        count_twisted(2, 3)
-    monkeypatch.setenv("TH_BUDGET", str(10**9))
-    assert count_twisted(2, 3).value == 16
 
 
 def test_rejects_bad_arguments():
