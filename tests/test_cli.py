@@ -206,6 +206,19 @@ def test_tiny_budget_still_replays_cache_hits(tmp_path, capsys):
     assert (code, again, err) == (0, first, "")
 
 
+@pytest.mark.parametrize("method, value", [("tropical", "16"), ("fock", "20")])
+def test_budget_bounds_no_tropical_or_fock_miss(tmp_path, capsys, method, value):
+    # the budget bounds the symmetric-group searches only: a miss of the
+    # other pipelines answers under --budget 1 as under the default
+    code, out, err = run(
+        capsys, *compute_args(tmp_path, "--method", method, "-d", "2", "-g", "3",
+                              "--budget", "1")
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == value
+    assert (tmp_path / "cache.jsonl").read_text().count("\n") == 1
+
+
 def _symgroup_forbidden(*_args, **_kwargs):
     raise AssertionError("a graph-sum query ran the symmetric-group pipeline")
 

@@ -228,6 +228,16 @@ def test_omitted_budget_is_the_default():
     assert exc.value.projected > DEFAULT_BUDGET
 
 
+def test_omitted_budget_is_the_default_for_every_search():
+    with pytest.raises(BudgetExceeded) as classical:
+        count_classical(8, 2)
+    with pytest.raises(BudgetExceeded) as tuples:
+        list(enumerate_twisted_tuples(8, 2))
+    for exc in (classical, tuples):
+        assert exc.value.budget == DEFAULT_BUDGET
+        assert exc.value.projected > DEFAULT_BUDGET
+
+
 def test_budget_exceeded_reports_projection():
     with pytest.raises(BudgetExceeded) as exc:
         count_twisted(3, 4, budget=10)
