@@ -4,10 +4,10 @@
 with a run record; results are served from an append-only cache when the
 same query (including tool version and, for the graph-sum method, the
 derived normalization reading) has been answered before.  ``validate``
-runs every applicable pipeline over a (d, g) rectangle and reports the
-pairwise identities.  ``export-covers`` writes the tropical quotient
-covers as JSON or DOT.  Exact rationals are always printed as
-numerator/denominator strings, never floats.
+runs every applicable pipeline over a (d, g) rectangle, which must not be
+empty, and reports the pairwise identities.  ``export-covers`` writes the
+tropical quotient covers as JSON or DOT.  Exact rationals are always
+printed as numerator/denominator strings, never floats.
 
 Each method's domain is written once, in DOMAINS: every method needs
 degree d >= 1 and genus g at least its least genus (tropical enumeration
@@ -172,6 +172,11 @@ def cmd_compute(args, out=None, err=None) -> int:
 def cmd_validate(args, out=None, err=None) -> int:
     """Cross-method value matrix with PASS/FAIL per identity."""
     out = out or sys.stdout
+    err = err or sys.stderr
+    for bound, name in ((args.d_max, "degree d"), (args.g_max, "genus g")):
+        if bound < 1:
+            print("incompatible parameters: validate needs %s >= 1" % name, file=err)
+            return EXIT_INCOMPATIBLE
     failures = 0
     skips = 0
     for g in range(1, args.g_max + 1):

@@ -281,12 +281,20 @@ def _slack(edges, vertex_count: int, cap: int) -> list:
     return slack
 
 
-def _times(series: TruncatedSeries, factor: TruncatedSeries, limits) -> TruncatedSeries:
+def _times(series: TruncatedSeries, factor: TruncatedSeries, edge: OrientedEdge,
+           limits) -> TruncatedSeries:
     """series * factor without the terms whose x-exponent at some vertex
-    exceeds ``limits``, which the remaining edges could not cancel."""
+    exceeds ``limits``, which the remaining edges could not cancel.
+
+    ``factor`` is ``edge``'s propagator (or a slice of it), and ``series``
+    already keeps the previous edge's limits.  The factor moves only the
+    exponents at the edge's tail and head, and every other vertex keeps
+    its limit from the previous edge, so only those two are checked."""
     product = series * factor
+    tail, head = edge.tail, edge.head
+    tail_limit, head_limit = limits[tail], limits[head]
     product.terms = {key: coef for key, coef in product.terms.items()
-                     if all(abs(x) <= lim for x, lim in zip(key[1], limits))}
+                     if abs(key[1][tail]) <= tail_limit and abs(key[1][head]) <= head_limit}
     return product
 
 
@@ -303,7 +311,7 @@ def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
     edges = oriented_edges(graph, order)
     series = TruncatedSeries.constant(graph.vertex_count, cap, 1)
     for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
-        series = _times(series, propagator(edge, cap, coefficient), limits)
+        series = _times(series, propagator(edge, cap, coefficient), edge, limits)
     return series
 
 
@@ -322,7 +330,7 @@ def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
             prefix + (degree,): product
             for prefix, series in partial.items()
             for degree in range(cap - sum(prefix) + 1)
-            if (product := _times(series, factor.degree_part(degree), limits))
+            if (product := _times(series, factor.degree_part(degree), edge, limits))
         }
     zero_x = (0,) * graph.vertex_count
     # read-only, as every caller gets the same cached mapping

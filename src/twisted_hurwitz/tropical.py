@@ -22,12 +22,16 @@ covers differing by which branch point a vertex sits over are distinct.
 The quotients are built from graphs rather than searched edge by edge:
 every connected multigraph on the positions with one 2- or 3-valent
 vertex per position, from graphs.labelled_graphs (the list the graph sum
-integrates over), has each edge given an orientation, a weight w <= d and
-a crossing count k under the budget sum(w*k) = d.  The last edge at a
-vertex must balance it, so its weight is read from the balance rather
-than searched (a loop moves no weight and tries every w).  Loops occur
-only at g = 2: a loop balances only at a lone 2-valent vertex, while at a
-3-valent vertex it leaves the third germ unbalanced.
+integrates over), is decorated balanced flow first, crossings after.  The
+flow gives each edge an orientation and a weight w <= d; the last edge at
+a vertex must balance it, so its orientation and weight are read from the
+balance rather than searched (a loop moves no weight and tries every w),
+and a backward edge's weight is charged against d, as its k is at least
+1.  Only then are the crossing counts k placed under sum(w*k) = d, so
+the balance is searched once per graph, not once per choice of
+crossings.  Loops occur only at g = 2: a loop balances only at a lone
+2-valent vertex, while at a 3-valent vertex it leaves the third germ
+unbalanced.
 
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
@@ -116,8 +120,8 @@ def _two_valent_weights(edges, s):
 def _enumerate_multisets(d, g):
     """All balanced connected degree-d edge multisets with one 2- or
     3-valent vertex per position, as sorted tuples, ascending: labelled
-    graphs x (orientation, weight, crossings) per edge, with balance
-    checked at each vertex's last edge and loops only at g = 2."""
+    graphs (loops only at g = 2) x their decorations, balanced flow
+    first and crossings after."""
     s = g - 1
     results = []
     for t, c in vertex_profiles(g):
@@ -128,44 +132,74 @@ def _enumerate_multisets(d, g):
 
 def _decorations(pairs, s, d):
     """Edge multisets (i, j, k, w) over the sorted edge pairs `pairs` with
-    sum of w*k equal to d, balanced at every position.  A position's balance
-    is checked as soon as its last incident edge is decorated; parallel
-    edges take non-decreasing decorations so each multiset appears once.
-    A closing non-loop edge takes the one weight that balances it."""
+    sum of w*k equal to d, balanced at every position: balanced flow first,
+    crossings after.
+
+    The flow pass gives each edge an orientation and a weight w <= d.  A
+    position's balance is checked as soon as its last incident edge is
+    placed, and a closing non-loop edge takes the one orientation and
+    weight that balance it (a loop moves no weight and tries every w).  A
+    backward edge (i >= j) needs k >= 1, so its weight is charged against
+    d, and a flow whose backward weights would exceed d is cut.  The
+    crossing pass then spends what is left of d on crossings beyond those
+    least ones, edge by edge; the last edge takes the remainder divided by
+    its weight.  Parallel edges take non-decreasing (i, j) in the flow and
+    non-decreasing (i, j, k, w) once crossed, so each multiset appears
+    once."""
+    m = len(pairs)
     closes = [[] for _ in pairs]
     for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items():
         closes[n].append(v)
+    parallel = [n > 0 and pairs[n - 1] == pairs[n] for n in range(m)]
     net = [0] * s  # outgoing minus incoming germ weight
+    flow = []  # (i, j, w, least k) per edge
     chosen = []
     out = []
 
-    def rec(n, budget):
-        if n == len(pairs):
-            if budget == 0:
-                out.append(tuple(sorted(chosen)))
+    def place(n, back):
+        if n == m:
+            cross(0, d - back)
             return
         u, v = pairs[n]
-        floor = chosen[-1] if n and pairs[n - 1] == pairs[n] else ()
-        for i, j in {(u, v), (v, u)}:  # a loop has one orientation
-            weights = range(1, d + 1)
-            if i != j and closes[n]:
-                w = -net[i] if i in closes[n] else net[j]
-                weights = (w,) if 1 <= w <= d else ()
-            for w in weights:
-                net[i] += w
-                net[j] -= w
-                if all(net[x] == 0 for x in closes[n]):
-                    for k in range(0 if i < j else 1, budget // w + 1):
-                        e = (i, j, k, w)
-                        if e < floor:
-                            continue
-                        chosen.append(e)
-                        rec(n + 1, budget - w * k)
-                        chosen.pop()
-                net[i] -= w
-                net[j] += w
+        if u != v and closes[n]:
+            # the edge that closes x leaves x when more weight enters x
+            x = closes[n][0]
+            w = net[x]
+            choices = [(x, u + v - x, -w) if w < 0 else (u + v - x, x, w)] if w else []
+        else:
+            choices = [(i, j, w) for i, j in {(u, v), (v, u)} for w in range(1, d + 1)]
+        for i, j, w in choices:
+            least = int(i >= j)
+            if w > d or back + w * least > d or parallel[n] and (i, j) < flow[-1][:2]:
+                continue
+            net[i] += w
+            net[j] -= w
+            if all(net[x] == 0 for x in closes[n]):
+                flow.append((i, j, w, least))
+                place(n + 1, back + w * least)
+                flow.pop()
+            net[i] -= w
+            net[j] += w
 
-    rec(0, d)
+    def cross(n, spare):
+        # spare: what is left of d over the least k of edges n, n+1, ...
+        i, j, w, k = flow[n]
+        if parallel[n] and chosen[-1][:2] == (i, j):
+            floor = chosen[-1][2] + (w < chosen[-1][3])
+            if floor > k:
+                spare -= w * (floor - k)
+                k = floor
+        if n == m - 1:
+            extra, rest = divmod(spare, w)
+            if extra >= 0 and not rest:
+                out.append(tuple(sorted(chosen + [(i, j, k + extra, w)])))
+            return
+        for extra in range(spare // w + 1):
+            chosen.append((i, j, k + extra, w))
+            cross(n + 1, spare - w * extra)
+            chosen.pop()
+
+    place(0, 0)
     return out
 
 

@@ -481,6 +481,16 @@ def test_validate_malformed_budget_exit_2(capsys):
     assert "--budget: invalid int value: 'abc'" in captured.err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("-d", "0", "-g", "3"), "validate needs degree d >= 1"),
+    (("-d", "2", "-g", "0"), "validate needs genus g >= 1"),
+])
+def test_validate_empty_grid_exit_2(capsys, argv, reason):
+    # an empty grid checks no identity, so it must not report them all PASS
+    code, out, err = run(capsys, "validate", *argv)
+    assert (code, out, err) == (2, "", "incompatible parameters: %s\n" % reason)
+
+
 def test_validate_budget_skips(capsys):
     code, out, err = run(capsys, "validate", "-d", "2", "-g", "4", "--budget", "10")
     assert (code, out, err) == (0, VALIDATE_D2_G4_BUDGET_10, "")

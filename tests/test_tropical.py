@@ -10,7 +10,7 @@ import pytest
 
 from twisted_hurwitz import tropical
 from twisted_hurwitz.factorizations import count_twisted
-from twisted_hurwitz.graphs import connected
+from twisted_hurwitz.graphs import connected, labelled_graphs, vertex_profiles
 from twisted_hurwitz.tropical import (
     QuotientCover,
     count_tropical,
@@ -85,6 +85,49 @@ def test_lift_classes_frozen():
     assert hashlib.sha256(blob).hexdigest() == (
         "9e55acc8a4b987a12b90d561d4d899ce02f98ba6db99d25780e3b37d1bd72b0f"
     )
+
+
+def _brute_decorations(pairs, s, d):
+    """Every (orientation, 1 <= w <= d, k >= least k, w*k <= d) choice per
+    edge, kept when balanced with sum(w*k) = d, as sorted tuples."""
+    options = [
+        [(i, j, k, w)
+         for i, j in {(u, v), (v, u)}
+         for w in range(1, d + 1)
+         for k in range(0 if i < j else 1, d // w + 1)]
+        for u, v in pairs
+    ]
+    found = set()
+    for edges in itertools.product(*options):
+        if sum(w * k for _i, _j, k, w in edges) != d:
+            continue
+        net = [0] * s
+        for i, j, _k, w in edges:
+            net[i] += w
+            net[j] -= w
+        if not any(net):
+            found.add(tuple(sorted(edges)))
+    return sorted(found)
+
+
+def test_decorations_match_brute_force():
+    # flow first, crossings after: each multiset of the exhaustive search,
+    # and each only once, on every labelled graph (loops included at g = 2)
+    checked = 0
+    for g, d_max in ((2, 4), (3, 4), (4, 3)):
+        for d in range(1, d_max + 1):
+            for t, c in vertex_profiles(g):
+                for graph in labelled_graphs(t, c, allow_loops=g == 2):
+                    fast = tropical._decorations(graph.edges, g - 1, d)
+                    assert len(set(fast)) == len(fast), (graph, d)
+                    assert sorted(fast) == _brute_decorations(graph.edges, g - 1, d), (graph, d)
+                    checked += bool(fast)
+    assert checked == 20  # of the 24 (graph, d) pairs
+
+
+def test_degree4_genus6_count():
+    # symgroup (connected, with a raised budget) and the graph sum give it too
+    assert count_tropical(4, 6) == 7558784
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
