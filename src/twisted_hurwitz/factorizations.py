@@ -95,14 +95,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from time import perf_counter
 
 from . import perms
 from .fock import aut_count, partitions, parts_product
 
 DEFAULT_BUDGET = 10**9
 
-#: the one counting backend, reported in every HurwitzResult
+#: the one counting backend, stamped into each benchmark run record (perfbench)
 KERNEL_BACKEND = "python"
 
 
@@ -123,8 +122,6 @@ class HurwitzResult:
     tuple_count: int
     normalization: int
     value: Fraction
-    backend: str
-    elapsed_ms: float
 
 
 def _admit(d, g, budget, projected):
@@ -141,15 +138,9 @@ def _admit(d, g, budget, projected):
         raise BudgetExceeded(size, limit)
 
 
-def _result(total, norm, start):
-    """*total* tuples over *norm*, timed from *start* (a perf_counter)."""
-    return HurwitzResult(
-        tuple_count=total,
-        normalization=norm,
-        value=Fraction(total, norm),
-        backend=KERNEL_BACKEND,
-        elapsed_ms=(perf_counter() - start) * 1000.0,
-    )
+def _result(total, norm):
+    """*total* tuples over *norm*."""
+    return HurwitzResult(tuple_count=total, normalization=norm, value=Fraction(total, norm))
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +307,6 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
     *threads* is accepted for compatibility and ignored.
     """
     _admit(d, g, budget, _twisted_projected)
-    start = perf_counter()
     etas, eta_taus, alphas, _ = _twisted_tables(d)
     total = sum(
         size * count_for_sigma(
@@ -324,7 +314,7 @@ def count_twisted(d, g, connected=True, budget=None, threads=1):
         )
         for sigma, size in _sigma_orbits(d)
     )
-    return _result(total, 2**d * factorial(d), start)
+    return _result(total, 2**d * factorial(d))
 
 
 def enumerate_twisted_tuples(d, g, connected=True, budget=None):
@@ -375,7 +365,6 @@ def count_classical(d, g, connected=True, budget=None):
     """Torus cover count: (sigma, tau_1..tau_{2g-2}, alpha) tuples over d!."""
     _admit(d, g, budget, _classical_projected)
     group, swaps = _classical_tables(d)
-    start = perf_counter()
     ident = tuple(range(d))
     moves = tuple((s, ident, (_support(s),)) for s in swaps)
     layer = _layer(d, moves, 2 * g - 2)
@@ -383,4 +372,4 @@ def count_classical(d, g, connected=True, budget=None):
         size * _finish(layer, pi, group, _alpha_lookup(pi, group), connected)
         for _, pi, size in _classes(d)
     )
-    return _result(total, factorial(d), start)
+    return _result(total, factorial(d))

@@ -48,10 +48,13 @@ orbit-stabilizer (lift_classes derives the details)
 Each twisted cover pi is counted with multiplicity
 
     2^{g-1} * (1/|Aut(pi)|) * prod_{2-valent v} (omega_v - 1)
-            * prod_{quotient edges} w(e),
+            * prod_{quotient edges} w(e).
 
-so quotients with a weight-1 two-valent vertex contribute nothing and are
-dropped by the enumerator.  The closed quotient-side formulas — the count
+Only 1/|Aut(pi)| depends on the lift, so the count runs quotient by
+quotient: it computes the quotient's weight prod(omega_v - 1) * prod w(e)
+once, drops the quotient when the weight is 0 (a weight-1 two-valent
+vertex), and multiplies the weight by the quotient's sum of 1/|Aut| over
+its lift classes.  The closed quotient-side formulas — the count
 of lifts sum(1/|Aut(pi)|) = (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|)
 and the resulting quotient multiplicity (2^{g'} - delta_{0c}) * 2^{2g'-3} *
 (1/|Aut(qbar)|) * prod(omega_v - 1) * prod w(e) — are implemented as
@@ -72,6 +75,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 from operator import xor
 
 from .graphs import (
@@ -247,7 +251,8 @@ def lift_classes(edges, s):
     Each sign vector is visited once, in ascending order: a known key
     counts it in its orbit, a new one opens an orbit with the vector as
     representative, records the keys of all its flips and tests
-    connectivity, an orbit invariant like the coinciding pairs.
+    connectivity, an orbit invariant like the coinciding pairs.  So the
+    orbits open in ascending order of their representatives.
     """
     germs = _germ_counts(edges, s)
     e33 = e33_indices(edges, s)
@@ -287,11 +292,11 @@ def lift_classes(edges, s):
                 orbit_of[key(map(xor, signs, t))] = orbit
         orbit[1] += 1
 
-    classes = sorted(
+    classes = [
         (signs, group_order // size * 2 ** sum(sorted(p) == sorted(q) for p, q in lifts(signs)))
         for signs, size, joined in orbits
         if joined
-    )
+    ]
     connected_count = sum(size for _signs, size, joined in orbits if joined)
     return classes, connected_count, 2 ** len(e33)
 
@@ -356,22 +361,29 @@ class CoverMultiplicity:
     quotient_genus: int
 
 
-def cover_multiplicity(cover: QuotientCover) -> CoverMultiplicity:
-    """Multiplicity of one twisted cover (quotient + lift class)."""
-    g = cover.g
-    c = cover.four_valent_count
-    gp = cover.quotient_genus
-    if 2 * gp != g - c + 1:
+def _weight(edges, g):
+    """The lift-independent factor prod_{2-valent v}(omega_v - 1) * prod
+    w(e) of a quotient's multiplicity, after checking the structural genus
+    2g' = g - c + 1 (it holds when every position is 2- or 3-valent)."""
+    s = g - 1
+    omegas = _two_valent_weights(edges, s).values()
+    gp = len(edges) - s + 1
+    if 2 * gp != g - len(omegas) + 1:
         raise ValueError(
             "structural genus %d does not satisfy 2g' = g - c + 1 (g=%d, c=%d)"
-            % (gp, g, c)
+            % (gp, g, len(omegas))
         )
-    value = Fraction(2 ** (g - 1), cover.lift_automorphisms)
-    for wv in cover.two_valent_weights().values():
-        value *= wv - 1
-    for _i, _j, _k, w in cover.edges:
-        value *= w
-    return CoverMultiplicity(value=value, four_valent_count=c, quotient_genus=gp)
+    return prod(wv - 1 for wv in omegas) * prod(w for _i, _j, _k, w in edges)
+
+
+def cover_multiplicity(cover: QuotientCover) -> CoverMultiplicity:
+    """Multiplicity of one twisted cover (quotient + lift class)."""
+    value = 2 ** (cover.g - 1) * _weight(cover.edges, cover.g)
+    return CoverMultiplicity(
+        value=Fraction(value, cover.lift_automorphisms),
+        four_valent_count=cover.four_valent_count,
+        quotient_genus=cover.quotient_genus,
+    )
 
 
 def quotient_multiplicity(edges, g) -> Fraction:
@@ -385,45 +397,41 @@ def quotient_multiplicity(edges, g) -> Fraction:
     c = sum(1 for x in germs if x == 2)
     gp = len(edges) - s + 1
     lead = 2**gp - (1 if c == 0 else 0)
-    scale = (
-        Fraction(2 ** (2 * gp - 3)) if 2 * gp >= 3 else Fraction(1, 2 ** (3 - 2 * gp))
-    )
-    value = lead * scale * Fraction(1, multiset_automorphisms(edges))
-    for wv in _two_valent_weights(edges, s).values():
-        value *= wv - 1
-    for _i, _j, _k, w in edges:
-        value *= w
-    return value
+    scale = Fraction(2) ** (2 * gp - 3)
+    return lead * scale * Fraction(_weight(edges, g), multiset_automorphisms(edges))
+
+
+def _weighted_quotients(d, g):
+    """(edges, weight, classes) for each quotient of nonzero weight, edges
+    ascending: weight is _weight(edges, g) and classes is
+    lift_classes(edges, g - 1)[0], ordered by signs."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if g < 2:
+        raise ValueError("the tropical pipeline needs g >= 2 (one branch point)")
+    for edges in _enumerate_multisets(d, g):
+        weight = _weight(edges, g)
+        if weight:
+            yield edges, weight, lift_classes(edges, g - 1)[0]
 
 
 def enumerate_quotient_covers(d: int, g: int) -> list:
     """All twisted covers (quotient + lift class) of degree d, genus g,
     with nonzero multiplicity, sorted by (edges, lift)."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if g < 2:
-        raise ValueError("the tropical pipeline needs g >= 2 (one branch point)")
-    s = g - 1
-    out = []
-    for edges in _enumerate_multisets(d, g):
-        if any(w == 1 for w in _two_valent_weights(edges, s).values()):
-            continue  # multiplicity factor (omega_v - 1) vanishes
-        classes, _conn, _total = lift_classes(edges, s)
-        for signs, aut in classes:
-            out.append(
-                QuotientCover(
-                    d=d, g=g, edges=edges, lift=signs, lift_automorphisms=aut
-                )
-            )
-    return sorted(out, key=lambda cv: (cv.edges, cv.lift))
+    return [
+        QuotientCover(d=d, g=g, edges=edges, lift=signs, lift_automorphisms=aut)
+        for edges, _, classes in _weighted_quotients(d, g)
+        for signs, aut in classes
+    ]
 
 
 def count_tropical(d: int, g: int) -> Fraction:
-    """Degree-d genus-g twisted count via the tropical pipeline."""
+    """Degree-d genus-g twisted count via the tropical pipeline: each
+    quotient's weight times its sum of 1/|Aut| over the lift classes."""
     total = Fraction(0)
-    for cover in enumerate_quotient_covers(d, g):
-        total += cover_multiplicity(cover).value
-    return total
+    for _edges, weight, classes in _weighted_quotients(d, g):
+        total += weight * sum(Fraction(1, aut) for _signs, aut in classes)
+    return 2 ** (g - 1) * total
 
 
 def verify_preimage_formula(cover: QuotientCover) -> bool:

@@ -130,6 +130,36 @@ def test_degree4_genus6_count():
     assert count_tropical(4, 6) == 7558784
 
 
+DESK = [(d, g) for d in (1, 2, 3) for g in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("d,g", DESK + [(4, 4)])
+def test_count_is_the_sum_over_exported_covers(d, g):
+    # the per-cover definition stays the oracle of the per-quotient count
+    covers = enumerate_quotient_covers(d, g)
+    assert count_tropical(d, g) == sum(cover_multiplicity(cv).value for cv in covers)
+    assert covers == sorted(covers, key=lambda cv: (cv.edges, cv.lift))
+
+
+def test_count_builds_no_cover_objects(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the count built a cover or a cover multiplicity")
+
+    monkeypatch.setattr(tropical, "QuotientCover", forbidden)
+    monkeypatch.setattr(tropical, "cover_multiplicity", forbidden)
+    assert count_tropical(3, 5) == 20496
+    assert count_tropical(4, 4) == 11456
+
+
+def test_count_checks_the_structural_genus(monkeypatch):
+    # two loops make a 4-valent position, where 2g' = g - c + 1 fails
+    monkeypatch.setattr(
+        tropical, "_enumerate_multisets", lambda d, g: [((0, 0, 1, 1), (0, 0, 1, 1))]
+    )
+    with pytest.raises(ValueError, match="structural genus"):
+        count_tropical(2, 2)
+
+
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
 def test_degree1_has_no_contributing_covers(g):
     assert enumerate_quotient_covers(1, g) == []
