@@ -40,10 +40,9 @@ edge lifts to two copies swapped by the involution.  The only discrete
 choice is a gluing sign for each edge whose endpoints are both doubled
 (an e33 edge): "straight" joins + to + and - to -, "crossed" joins + to -.
 The lift classes are the orbits of the group G of vertex flips and
-permutations of equal edges acting on the sign vectors, and by
-orbit-stabilizer (lift_classes derives the details)
-
-    |Aut| = |G| / |orbit| * 2^{#lift pairs whose two lifts coincide}.
+permutations of equal edges acting on the sign vectors; by orbit-
+stabilizer, |Aut| = |G| / |orbit| * 2^{cp}, where cp counts the lift
+pairs whose two lifts coincide (lift_classes derives the details).
 
 Each twisted cover pi is counted with multiplicity
 
@@ -52,14 +51,27 @@ Each twisted cover pi is counted with multiplicity
 
 Only 1/|Aut(pi)| depends on the lift, so the count runs quotient by
 quotient: it computes the quotient's weight prod(omega_v - 1) * prod w(e)
-once, drops the quotient when the weight is 0 (a weight-1 two-valent
-vertex), and multiplies the weight by the quotient's sum of 1/|Aut| over
-its lift classes.  The closed quotient-side formulas — the count
-of lifts sum(1/|Aut(pi)|) = (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|)
-and the resulting quotient multiplicity (2^{g'} - delta_{0c}) * 2^{2g'-3} *
-(1/|Aut(qbar)|) * prod(omega_v - 1) * prod w(e) — are implemented as
-independent cross-checks, not trusted: verify_preimage_formula recomputes
-the left side from explicit lifts.
+once and drops the quotient when the weight is 0 (a weight-1 two-valent
+vertex).  The lifts are classified once per graph.  G has order
+2^{#doubled} * prod m!(q), m running over the groups of equal decorated
+edges of the quotient q, so summed over q's connected orbits O
+
+    sum 1/|Aut| = sum_O |O| / (|G| 2^{cp}) = N / (2^{#doubled} prod m!(q)),
+
+N summing 2^{-cp} over the connected sign vectors.  The doubled positions,
+the e33 edges and each sign vector's lift as an undirected graph, hence
+its connectivity and cp, depend only on which positions each edge joins.
+So prod m!(q) * sum 1/|Aut| = N / 2^{#doubled} is one number per
+undirected edge multiset: count_tropical classifies the lifts of the
+first quotient of each graph, and every quotient adds its weight / prod
+m!(q) times that number.  enumerate_quotient_covers classifies every
+quotient; it is the export and the reference.
+
+The closed quotient-side formulas — the lift sum sum(1/|Aut(pi)|) =
+(2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|), and the quotient
+multiplicity 2^{g-1} * prod(omega_v - 1) * prod w(e) times that sum — are
+implemented as independent cross-checks, not trusted:
+verify_preimage_formula recomputes the lift sum from explicit lifts.
 
 Summed over the decorations of one labelled graph G (those without a
 weight-1 two-valent vertex), quotient_multiplicity equals G's term in the
@@ -74,9 +86,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 from operator import xor
+from typing import NamedTuple
 
 from .graphs import (
     connected,
@@ -88,12 +102,25 @@ from .graphs import (
 STRAIGHT, CROSSED = 0, 1
 
 
-def _germ_counts(edges, s):
-    germs = [0] * s
+class _Shape(NamedTuple):
+    valences: tuple  # germs at each position
+    omegas: dict  # 2-valent position -> its germ weight omega_v
+    e33: tuple  # indices of the edges whose endpoints are both doubled
+    genus: int  # g' = #edges - #positions + 1; c = len(omegas)
+
+
+def _shape(edges, s):
+    """The valences, 2-valent weights, e33 edges and genus of a quotient.
+    A 2-valent position lifts to one involution-fixed 4-valent vertex, and
+    balancing makes both its germs carry the same weight; every other
+    position is doubled upstairs."""
+    valences = [0] * s
     for i, j, _k, _w in edges:
-        germs[i] += 1
-        germs[j] += 1
-    return germs
+        valences[i] += 1
+        valences[j] += 1
+    omegas = {v: w for i, j, _k, w in edges for v in (i, j) if valences[v] == 2}
+    e33 = tuple(x for x, (i, j, _k, _w) in enumerate(edges) if valences[i] != 2 != valences[j])
+    return _Shape(tuple(valences), omegas, e33, len(edges) - s + 1)
 
 
 def _is_balanced(edges, s):
@@ -104,17 +131,6 @@ def _is_balanced(edges, s):
         outw[i] += w
         inw[j] += w
     return inw == outw
-
-
-def _two_valent_weights(edges, s):
-    """Map position -> germ weight for the 2-valent positions."""
-    germs = _germ_counts(edges, s)
-    weight = {}
-    for i, j, _k, w in edges:
-        for v in (i, j):
-            if germs[v] == 2:
-                weight[v] = w  # balancing makes both germs equal
-    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +227,8 @@ def _decorations(pairs, s, d):
 # explicit double covers (lifts)
 
 
-def _doubled(germs, v):
-    """Vertices are doubled upstairs unless they are 2-valent (those lift
-    to a single involution-fixed 4-valent vertex)."""
-    return germs[v] != 2
-
-
 def e33_indices(edges, s):
-    germs = _germ_counts(edges, s)
-    return tuple(
-        idx
-        for idx, (i, j, _k, _w) in enumerate(edges)
-        if _doubled(germs, i) and _doubled(germs, j)
-    )
+    return _shape(edges, s).e33
 
 
 def lift_classes(edges, s):
@@ -254,14 +259,13 @@ def lift_classes(edges, s):
     connectivity, an orbit invariant like the coinciding pairs.  So the
     orbits open in ascending order of their representatives.
     """
-    germs = _germ_counts(edges, s)
-    e33 = e33_indices(edges, s)
+    valences, omegas, e33, _genus = _shape(edges, s)
     glued = [edges[x] for x in e33]
     # lift vertex numbers: (v,+) is plus[v] and (v,-) is minus[v]; (v,o) is both
     plus, minus, n = {}, {}, 0
     for v in range(s):
-        if germs[v]:
-            plus[v], minus[v] = n, n + _doubled(germs, v)
+        if valences[v]:
+            plus[v], minus[v] = n, n + (v not in omegas)
             n = minus[v] + 1
     doubled = [v for v in plus if plus[v] != minus[v]]
     group_order = 2 ** len(doubled) * multiset_automorphisms(edges)
@@ -325,30 +329,39 @@ class QuotientCover:
         object.__setattr__(self, "lift", tuple(self.lift))
         if self.g < 2:
             raise ValueError("quotient covers need g >= 2")
-        expected = len(e33_indices(self.edges, self.positions))
-        if len(self.lift) != expected:
-            raise ValueError(
-                "lift has %d signs, expected %d" % (len(self.lift), expected)
-            )
+        for i, j, k, w in self.edges:
+            if not (0 <= i < self.positions and 0 <= j < self.positions):
+                raise ValueError("edge %r leaves the positions 0..%d" % ((i, j, k, w), self.g - 2))
+            if w < 1 or k < 0:
+                raise ValueError("edge %r needs w >= 1 and k >= 0" % ((i, j, k, w),))
+        if self.lift_automorphisms < 1:
+            raise ValueError("lift_automorphisms must be >= 1")
+        if len(self.lift) != len(self.shape.e33):
+            raise ValueError("lift has %d signs, expected %d"
+                             % (len(self.lift), len(self.shape.e33)))
 
     @property
     def positions(self):
         return self.g - 1
 
+    @cached_property
+    def shape(self):
+        return _shape(self.edges, self.positions)
+
     def valences(self):
-        return tuple(_germ_counts(self.edges, self.positions))
+        return self.shape.valences
 
     @property
     def four_valent_count(self):
         """Number of 4-valent vertices upstairs = 2-valent quotient positions."""
-        return sum(1 for x in self.valences() if x == 2)
+        return len(self.shape.omegas)
 
     @property
     def quotient_genus(self):
-        return len(self.edges) - self.positions + 1
+        return self.shape.genus
 
     def two_valent_weights(self):
-        return _two_valent_weights(self.edges, self.positions)
+        return dict(self.shape.omegas)
 
     def degree_over_base(self):
         return sum(w * k for _i, _j, k, w in self.edges)
@@ -357,62 +370,50 @@ class QuotientCover:
 @dataclass(frozen=True)
 class CoverMultiplicity:
     value: Fraction
-    four_valent_count: int
-    quotient_genus: int
 
 
-def _weight(edges, g):
+def _weight(edges, shape, g):
     """The lift-independent factor prod_{2-valent v}(omega_v - 1) * prod
     w(e) of a quotient's multiplicity, after checking the structural genus
     2g' = g - c + 1 (it holds when every position is 2- or 3-valent)."""
-    s = g - 1
-    omegas = _two_valent_weights(edges, s).values()
-    gp = len(edges) - s + 1
-    if 2 * gp != g - len(omegas) + 1:
-        raise ValueError(
-            "structural genus %d does not satisfy 2g' = g - c + 1 (g=%d, c=%d)"
-            % (gp, g, len(omegas))
-        )
-    return prod(wv - 1 for wv in omegas) * prod(w for _i, _j, _k, w in edges)
+    if 2 * shape.genus != g - len(shape.omegas) + 1:
+        raise ValueError("structural genus %d does not satisfy 2g' = g - c + 1 (g=%d, c=%d)"
+                         % (shape.genus, g, len(shape.omegas)))
+    return prod(wv - 1 for wv in shape.omegas.values()) * prod(w for _i, _j, _k, w in edges)
+
+
+def _closed_lift_sum(edges, shape):
+    """sum of 1/|Aut| over a quotient's lift classes, in closed form:
+    (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|)."""
+    c = len(shape.omegas)
+    return Fraction(2**shape.genus - (c == 0), 2 ** (c + 1) * multiset_automorphisms(edges))
 
 
 def cover_multiplicity(cover: QuotientCover) -> CoverMultiplicity:
     """Multiplicity of one twisted cover (quotient + lift class)."""
-    value = 2 ** (cover.g - 1) * _weight(cover.edges, cover.g)
-    return CoverMultiplicity(
-        value=Fraction(value, cover.lift_automorphisms),
-        four_valent_count=cover.four_valent_count,
-        quotient_genus=cover.quotient_genus,
-    )
+    value = 2 ** (cover.g - 1) * _weight(cover.edges, cover.shape, cover.g)
+    return CoverMultiplicity(Fraction(value, cover.lift_automorphisms))
 
 
 def quotient_multiplicity(edges, g) -> Fraction:
     """Closed-form multiplicity of a whole quotient cover (all lifts at
-    once): (2^{g'}-delta_{0c}) * 2^{2g'-3} / |Aut(qbar)| * prod(omega_v - 1)
-    * prod w(e).  Used as a cross-check against summing cover_multiplicity
-    over the lift classes."""
-    s = g - 1
-    edges = tuple(sorted(edges))
-    germs = _germ_counts(edges, s)
-    c = sum(1 for x in germs if x == 2)
-    gp = len(edges) - s + 1
-    lead = 2**gp - (1 if c == 0 else 0)
-    scale = Fraction(2) ** (2 * gp - 3)
-    return lead * scale * Fraction(_weight(edges, g), multiset_automorphisms(edges))
+    once): 2^{g-1} * prod(omega_v - 1) * prod w(e) times the closed lift
+    sum.  Used as a cross-check against summing cover_multiplicity over the
+    lift classes."""
+    shape = _shape(edges, g - 1)
+    return 2 ** (g - 1) * _weight(edges, shape, g) * _closed_lift_sum(edges, shape)
 
 
 def _weighted_quotients(d, g):
-    """(edges, weight, classes) for each quotient of nonzero weight, edges
-    ascending: weight is _weight(edges, g) and classes is
-    lift_classes(edges, g - 1)[0], ordered by signs."""
+    """(edges, _weight) for each quotient of nonzero weight, edges ascending."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     if g < 2:
         raise ValueError("the tropical pipeline needs g >= 2 (one branch point)")
     for edges in _enumerate_multisets(d, g):
-        weight = _weight(edges, g)
+        weight = _weight(edges, _shape(edges, g - 1), g)
         if weight:
-            yield edges, weight, lift_classes(edges, g - 1)[0]
+            yield edges, weight
 
 
 def enumerate_quotient_covers(d: int, g: int) -> list:
@@ -420,17 +421,24 @@ def enumerate_quotient_covers(d: int, g: int) -> list:
     with nonzero multiplicity, sorted by (edges, lift)."""
     return [
         QuotientCover(d=d, g=g, edges=edges, lift=signs, lift_automorphisms=aut)
-        for edges, _, classes in _weighted_quotients(d, g)
-        for signs, aut in classes
+        for edges, _ in _weighted_quotients(d, g)
+        for signs, aut in lift_classes(edges, g - 1)[0]
     ]
 
 
 def count_tropical(d: int, g: int) -> Fraction:
     """Degree-d genus-g twisted count via the tropical pipeline: each
-    quotient's weight times its sum of 1/|Aut| over the lift classes."""
+    quotient's weight times its sum of 1/|Aut| over the lift classes, that
+    sum read from its graph's prod m! * sum 1/|Aut| (module docstring)."""
+    per_graph = {}  # undirected edge multiset -> prod m! * sum 1/|Aut|
     total = Fraction(0)
-    for _edges, weight, classes in _weighted_quotients(d, g):
-        total += weight * sum(Fraction(1, aut) for _signs, aut in classes)
+    for edges, weight in _weighted_quotients(d, g):
+        graph = tuple(sorted((min(i, j), max(i, j)) for i, j, _k, _w in edges))
+        m = multiset_automorphisms(edges)
+        if graph not in per_graph:
+            classes = lift_classes(edges, g - 1)[0]
+            per_graph[graph] = m * sum(Fraction(1, aut) for _signs, aut in classes)
+        total += Fraction(weight, m) * per_graph[graph]
     return 2 ** (g - 1) * total
 
 
@@ -442,26 +450,17 @@ def verify_preimage_formula(cover: QuotientCover) -> bool:
 
 
 def preimage_details(cover: QuotientCover) -> dict:
-    edges = cover.edges
-    s = cover.positions
-    if len(edges) > 12:
+    if len(cover.edges) > 12:
         raise ValueError("cover too large for explicit lift enumeration (> 12 edges)")
-    classes, connected, total = lift_classes(edges, s)
-    germs = _germ_counts(edges, s)
-    c = sum(1 for x in germs if x == 2)
-    gp = len(edges) - s + 1
-    lift_sum = sum((Fraction(1, aut) for _signs, aut in classes), Fraction(0))
-    closed = Fraction(
-        2**gp - (1 if c == 0 else 0), 2 ** (c + 1) * multiset_automorphisms(edges)
-    )
+    classes, connected, total = lift_classes(cover.edges, cover.positions)
     return {
-        "lift_sum": lift_sum,
-        "closed_form": closed,
+        "lift_sum": sum((Fraction(1, aut) for _signs, aut in classes), Fraction(0)),
+        "closed_form": _closed_lift_sum(cover.edges, cover.shape),
         "classes": classes,
         "connected_assignments": connected,
         "total_assignments": total,
-        "four_valent_count": c,
-        "quotient_genus": gp,
+        "four_valent_count": cover.four_valent_count,
+        "quotient_genus": cover.quotient_genus,
     }
 
 
@@ -471,13 +470,13 @@ def preimage_details(cover: QuotientCover) -> dict:
 
 def _sign_by_edge(cover: QuotientCover) -> dict:
     """Map edge index -> gluing sign, for the e33 edges."""
-    return dict(zip(e33_indices(cover.edges, cover.positions), cover.lift))
+    return dict(zip(cover.shape.e33, cover.lift))
 
 
 def cover_record(cover: QuotientCover) -> dict:
     """JSON-ready description of one twisted cover."""
     sign_by_edge = _sign_by_edge(cover)
-    mult = cover_multiplicity(cover)
+    value = cover_multiplicity(cover).value
     edges = []
     for idx, (i, j, k, w) in enumerate(cover.edges):
         sign = sign_by_edge.get(idx)
@@ -495,12 +494,12 @@ def cover_record(cover: QuotientCover) -> dict:
         "genus": cover.g,
         "positions": cover.positions,
         "edges": edges,
-        "four_valent_count": mult.four_valent_count,
-        "quotient_genus": mult.quotient_genus,
+        "four_valent_count": cover.four_valent_count,
+        "quotient_genus": cover.quotient_genus,
         "lift_automorphisms": cover.lift_automorphisms,
         "multiplicity": {
-            "numerator": str(mult.value.numerator),
-            "denominator": str(mult.value.denominator),
+            "numerator": str(value.numerator),
+            "denominator": str(value.denominator),
         },
     }
 
@@ -513,12 +512,10 @@ def cover_to_dot(cover: QuotientCover, name="cover") -> str:
     """DOT rendering; edges are oriented by the covering map (forward
     around the circle), vertices carry their branch-point position."""
     sign_by_edge = _sign_by_edge(cover)
-    germs = _germ_counts(cover.edges, cover.positions)
+    valences = cover.valences()
     lines = ["digraph %s {" % name]
     for v in range(cover.positions):
-        lines.append(
-            '  v%d [label="p%d (%d-valent)"];' % (v, v + 1, germs[v])
-        )
+        lines.append('  v%d [label="p%d (%d-valent)"];' % (v, v + 1, valences[v]))
     for idx, (i, j, k, w) in enumerate(cover.edges):
         label = "w=%d k=%d" % (w, k)
         if idx in sign_by_edge:

@@ -326,7 +326,7 @@ def test_prefactor_is_the_tropical_count_graph_by_graph(d, g):
             tropical_side = sum(
                 (tropical.quotient_multiplicity(edges, g)
                  for edges in tropical._decorations(graph.edges, s, d)
-                 if 1 not in tropical._two_valent_weights(edges, s).values()),
+                 if 1 not in tropical._shape(edges, s).omegas.values()),
                 Fraction(0))
             graph_sum_side = weight * Fraction(feynman._balanced_sum(graph, d),
                                                multiset_automorphisms(graph.edges))

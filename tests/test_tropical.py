@@ -10,7 +10,12 @@ import pytest
 
 from twisted_hurwitz import tropical
 from twisted_hurwitz.factorizations import count_twisted
-from twisted_hurwitz.graphs import connected, labelled_graphs, vertex_profiles
+from twisted_hurwitz.graphs import (
+    connected,
+    labelled_graphs,
+    multiset_automorphisms,
+    vertex_profiles,
+)
 from twisted_hurwitz.tropical import (
     QuotientCover,
     count_tropical,
@@ -133,9 +138,15 @@ def test_degree4_genus6_count():
 DESK = [(d, g) for d in (1, 2, 3) for g in (2, 3, 4, 5)]
 
 
-@pytest.mark.parametrize("d,g", DESK + [(4, 4)])
+def _graph(edges):
+    """The undirected edge multiset of a quotient."""
+    return tuple(sorted((min(i, j), max(i, j)) for i, j, _k, _w in edges))
+
+
+@pytest.mark.parametrize("d,g", DESK + [(4, 4), (4, 5), (3, 6)])
 def test_count_is_the_sum_over_exported_covers(d, g):
-    # the per-cover definition stays the oracle of the per-quotient count
+    # the per-cover definition stays the oracle of the per-quotient count;
+    # at (4, 5) and (3, 6) equal decorated parallel edges split prod m!
     covers = enumerate_quotient_covers(d, g)
     assert count_tropical(d, g) == sum(cover_multiplicity(cv).value for cv in covers)
     assert covers == sorted(covers, key=lambda cv: (cv.edges, cv.lift))
@@ -149,6 +160,48 @@ def test_count_builds_no_cover_objects(monkeypatch):
     monkeypatch.setattr(tropical, "cover_multiplicity", forbidden)
     assert count_tropical(3, 5) == 20496
     assert count_tropical(4, 4) == 11456
+
+
+def test_count_classifies_lifts_once_per_graph(monkeypatch):
+    calls = Counter()
+    real = tropical.lift_classes
+
+    def counting(edges, s):
+        calls[_graph(edges)] += 1
+        return real(edges, s)
+
+    monkeypatch.setattr(tropical, "lift_classes", counting)
+    assert count_tropical(4, 4) == 11456
+    # 38 weighted quotients on 4 graphs
+    assert sorted(calls.values()) == [1, 1, 1, 1]
+
+
+def test_lift_sum_times_prod_m_factorial_is_a_graph_invariant():
+    # the lemma count_tropical rests on: prod m!(q) * sum 1/|Aut| over the
+    # lift classes of q is the same for every quotient q of one graph
+    split = 0
+    for d, g in DESK + [(4, 4), (2, 6)]:
+        per_graph = defaultdict(set)
+        factorials = defaultdict(set)
+        for edges, _weight in tropical._weighted_quotients(d, g):
+            m = multiset_automorphisms(edges)
+            classes = tropical.lift_classes(edges, g - 1)[0]
+            per_graph[_graph(edges)].add(m * sum(Fraction(1, aut) for _signs, aut in classes))
+            factorials[_graph(edges)].add(m)
+        assert all(len(values) == 1 for values in per_graph.values()), (d, g)
+        split += sum(len(ms) > 1 for ms in factorials.values())
+    assert split == 5  # graphs whose quotients differ in prod m!
+
+
+def test_genus2_closed_form():
+    # H(d, 2) = sigma_2(d) - sigma_1(d)
+    def sigma(p, d):
+        return sum(x**p for x in range(1, d + 1) if d % x == 0)
+
+    for d in range(1, 13):
+        assert count_tropical(d, 2) == sigma(2, d) - sigma(1, d), d
+    for d in range(1, 5):
+        assert count_twisted(d, 2, connected=True).value == sigma(2, d) - sigma(1, d), d
 
 
 def test_count_checks_the_structural_genus(monkeypatch):
@@ -370,6 +423,21 @@ def test_constructor_and_argument_validation():
     )
     with pytest.raises(ValueError, match="12"):
         preimage_details(big)
+
+
+@pytest.mark.parametrize(
+    "edges,aut",
+    [
+        (((0, 2, 0, 1), (2, 0, 1, 1)), 1),  # position 2 is not one of 0..1
+        (((0, -1, 0, 1), (-1, 0, 1, 1)), 1),
+        (((0, 1, 0, -2), (1, 0, 1, 2)), 1),  # weight < 1
+        (((0, 1, -1, 2), (1, 0, 1, 2)), 1),  # crossings < 0
+        (((0, 1, 0, 2), (1, 0, 1, 2)), 0),  # no automorphism at all
+    ],
+)
+def test_malformed_covers_are_refused(edges, aut):
+    with pytest.raises(ValueError):
+        QuotientCover(d=2, g=3, edges=edges, lift=(), lift_automorphisms=aut)
 
 
 def test_export_round_trip():
