@@ -61,6 +61,24 @@ graph, f(G, identity) / prod m!(G).  So the sum runs over
 ``graphs.labelled_graphs`` under the identity order, with no canonical
 form or automorphism search.
 
+Shared prefixes.  Under the identity order an edge (u, v), u < v, runs
+from u to v, and all its factor and its pruning need is fixed by the
+valences and the edges before it.  The slack at a vertex x, what the
+later edges can still cancel there, is (valence(x) - edges at x placed so
+far) * d, as every edge at x comes once in the list and carries weight at
+most d.  A 2-valent endpoint designates the edge exactly when the edge is
+its first, that is when no earlier edge meets it.  So the integer factor
+depends only on (vertex count, tail, head, d, whether an endpoint is
+2-valent, designation count): that key fixes every exponent and every
+c_w, and ``_integer_propagator`` builds each propagator once.
+``labelled_graphs`` lists a profile's graphs depth first, so consecutive
+graphs with the same placement of the valences share an edge prefix, and
+``_walk`` keeps the previous graph's partial products on a stack and
+multiplies only the edges after the common prefix: 1,995 series products
+at g = 6 instead of one per edge, 3,030, and 30,300 at g = 7 instead of
+58,590.  Each partial product is the one ``_integrand`` forms under the
+identity order, so both give every graph the same value.
+
 The prefactor is derived, not fitted.  The count is
 
     2^(g-1) * sum over profiles (t, c) of (2^g' - delta_{0c}) / 2^(c+1)
@@ -98,8 +116,9 @@ factors produced at 2-valent vertices must pair up exactly when the
 balancing holds, so a surviving radical signals a real bug rather than
 numerical noise.
 
-Each labelled graph's term is an independent pure computation; results are
-combined by exact arithmetic in a deterministic order.
+Each labelled graph's term is a pure function of the graph, whose work
+the walk shares only through equal prefixes; results are combined by
+exact arithmetic in a deterministic order.
 """
 
 from __future__ import annotations
@@ -161,12 +180,19 @@ def _radical_coefficient(edge, w: int) -> RadicalScalar:
     return propagator_coefficient(w, edge.tail_valence, edge.head_valence)
 
 
+def _integer_weight(w: int, two_valent_end: bool, designations: int) -> int:
+    """The integer rule's c_w: w * (w-1)^designations, except c_1 = 0 when
+    an endpoint is 2-valent."""
+    if w == 1 and two_valent_end:
+        return 0
+    return w * (w - 1) ** designations
+
+
 def integer_coefficients(graph: FeynmanGraph):
     """The graph's integer per-edge rule (see the module docstring).
 
-    Each 2-valent vertex designates its lowest-index edge; an edge gets
-    c_w = w * (w-1)^k with k the number of endpoints designating it, and
-    c_1 = 0 when either endpoint is 2-valent.  Returns a function
+    Each 2-valent vertex designates its lowest-index edge, which counts
+    towards that edge's ``_integer_weight``.  Returns a function
     (OrientedEdge, w) -> int that agrees with the radical rule on every
     x^0 coefficient of the propagator product.
     """
@@ -176,9 +202,8 @@ def integer_coefficients(graph: FeynmanGraph):
             designations[min(k for k, e in enumerate(graph.edges) if v in e)] += 1
 
     def coefficient(edge, w: int) -> int:
-        if w == 1 and 2 in (edge.tail_valence, edge.head_valence):
-            return 0
-        return w * (w - 1) ** designations[edge.index]
+        return _integer_weight(w, 2 in (edge.tail_valence, edge.head_valence),
+                              designations[edge.index])
 
     return coefficient
 
@@ -281,18 +306,17 @@ def _slack(edges, vertex_count: int, cap: int) -> list:
     return slack
 
 
-def _times(series: TruncatedSeries, factor: TruncatedSeries, edge: OrientedEdge,
-           limits) -> TruncatedSeries:
-    """series * factor without the terms whose x-exponent at some vertex
-    exceeds ``limits``, which the remaining edges could not cancel.
+def _times(series: TruncatedSeries, factor: TruncatedSeries, tail: int, head: int,
+           tail_limit: int, head_limit: int) -> TruncatedSeries:
+    """series * factor without the terms whose x-exponent at the tail or
+    head exceeds its limit, which the remaining edges could not cancel.
 
-    ``factor`` is ``edge``'s propagator (or a slice of it), and ``series``
-    already keeps the previous edge's limits.  The factor moves only the
-    exponents at the edge's tail and head, and every other vertex keeps
-    its limit from the previous edge, so only those two are checked."""
+    ``factor`` is the propagator (or a slice of it) of an edge from
+    ``tail`` to ``head``, and ``series`` already keeps the previous edge's
+    limits.  The factor moves only the exponents at the edge's tail and
+    head, and every other vertex keeps its limit from the previous edge,
+    so only those two are checked."""
     product = series * factor
-    tail, head = edge.tail, edge.head
-    tail_limit, head_limit = limits[tail], limits[head]
     product.terms = {key: coef for key, coef in product.terms.items()
                      if abs(key[1][tail]) <= tail_limit and abs(key[1][head]) <= head_limit}
     return product
@@ -301,7 +325,9 @@ def _times(series: TruncatedSeries, factor: TruncatedSeries, edge: OrientedEdge,
 def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
                coefficient=_radical_coefficient) -> TruncatedSeries:
     """x-balanced part of the propagator product under one vertex order,
-    with c_w from ``coefficient`` (as in ``propagator``).
+    with c_w from ``coefficient`` (as in ``propagator``): one graph's
+    product for any order and either rule, where ``_walk`` serves the
+    identity order and the integer rule.
 
     After each factor, terms whose x-exponent at some vertex exceeds what
     the remaining edges could still cancel are dropped (``_times``).  This
@@ -311,7 +337,8 @@ def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
     edges = oriented_edges(graph, order)
     series = TruncatedSeries.constant(graph.vertex_count, cap, 1)
     for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
-        series = _times(series, propagator(edge, cap, coefficient), edge, limits)
+        series = _times(series, propagator(edge, cap, coefficient), edge.tail, edge.head,
+                        limits[edge.tail], limits[edge.head])
     return series
 
 
@@ -330,7 +357,8 @@ def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
             prefix + (degree,): product
             for prefix, series in partial.items()
             for degree in range(cap - sum(prefix) + 1)
-            if (product := _times(series, factor.degree_part(degree), edge, limits))
+            if (product := _times(series, factor.degree_part(degree), edge.tail, edge.head,
+                                  limits[edge.tail], limits[edge.head]))
         }
     zero_x = (0,) * graph.vertex_count
     # read-only, as every caller gets the same cached mapping
@@ -426,11 +454,68 @@ _READING = "2^(g-1) multiplies, #Aut divides"
 
 
 @lru_cache(maxsize=None)
+def _integer_propagator(vertex_count: int, tail: int, head: int, cap: int,
+                        two_valent_end: bool, designations: int) -> TruncatedSeries:
+    """The integer rule's propagator of an edge from ``tail`` to ``head``,
+    built once per key; callers only read it."""
+    # the coefficient reads the key, so the edge's valences go unread
+    edge = OrientedEdge(0, tail, head, 3, 3, vertex_count)
+    return propagator(edge, cap, lambda _edge, w: _integer_weight(w, two_valent_end, designations))
+
+
+def _walk(graphs, d: int) -> list:
+    """f(G, identity) at degree d for each loopless graph G, in the order
+    given, in the integer rule.
+
+    The partial products of the previous graph's edges stay on a stack, so
+    a graph with the previous one's valences multiplies only the edges
+    after their common prefix (module docstring, "Shared prefixes")."""
+    values = []
+    stack = []  # stack[k]: the product of the first k edges
+    previous, previous_degrees = (), None
+    for graph in graphs:
+        edges, n = graph.edges, graph.vertex_count
+        degrees = graph.degrees()
+        shared = 0
+        if degrees == previous_degrees:
+            for edge, before in zip(edges, previous):
+                if edge != before:
+                    break
+                shared += 1
+        else:
+            stack = [TruncatedSeries.constant(n, d, 1)]
+        del stack[shared + 1:]
+        placed = [0] * n  # edges placed so far at each vertex
+        for k, (u, v) in enumerate(edges):  # u < v: u is the tail under the identity
+            placed[u] += 1
+            placed[v] += 1
+            if k < shared:
+                continue
+            # a 2-valent vertex designates its first edge
+            designations = ((degrees[u] == 2 and placed[u] == 1)
+                            + (degrees[v] == 2 and placed[v] == 1))
+            factor = _integer_propagator(n, u, v, d, 2 in (degrees[u], degrees[v]), designations)
+            stack.append(_times(stack[-1], factor, u, v,
+                                (degrees[u] - placed[u]) * d, (degrees[v] - placed[v]) * d))
+        values.append(stack[-1].coefficient(d, (0,) * n))
+        previous, previous_degrees = edges, degrees
+    return values
+
+
+@lru_cache(maxsize=None)
+def _balanced_sums(t: int, c: int, d: int) -> MappingProxyType:
+    """Map each labelled graph of the profile (t, c), in
+    ``labelled_graphs`` order, to its f(G, identity) at degree d; read-only,
+    as every caller gets the same cached mapping."""
+    graphs = labelled_graphs(t, c)
+    return MappingProxyType(dict(zip(graphs, _walk(graphs, d))))
+
+
 def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
     """f(graph, identity): the degree-d balanced coefficient under the
-    identity vertex order, in the integer rule."""
-    series = _integrand(graph, tuple(range(graph.vertex_count)), d, integer_coefficients(graph))
-    return series.coefficient(d, (0,) * graph.vertex_count)
+    identity vertex order, in the integer rule, as the count adds it."""
+    degrees = graph.degrees()
+    return _balanced_sums(degrees.count(3), degrees.count(2), d)[graph]
 
 
 def _assemble(d: int, g: int) -> Fraction:
@@ -438,8 +523,8 @@ def _assemble(d: int, g: int) -> Fraction:
     for t, c in _vertex_profiles(g):
         quotient_genus = t // 2 + 1
         weight = Fraction(2 ** quotient_genus - (1 if c == 0 else 0), 2 ** (c + 1))
-        for graph in labelled_graphs(t, c):
-            total += weight * Fraction(_balanced_sum(graph, d), multiset_automorphisms(graph.edges))
+        for graph, value in _balanced_sums(t, c, d).items():
+            total += weight * Fraction(value, multiset_automorphisms(graph.edges))
     return total * 2 ** (g - 1)
 
 

@@ -316,6 +316,8 @@ class QuotientCover:
     `edges` is the sorted multiset of (i, j, k, w) tuples.  `lift` holds the
     gluing sign (0 straight / 1 crossed) for each edge index listed by
     e33_indices(edges), lexicographically minimal in its isomorphism class.
+    The quotient must be balanced, of degree d over the base point and
+    connected, so its genus is never negative.
     """
 
     d: int
@@ -334,6 +336,14 @@ class QuotientCover:
                 raise ValueError("edge %r leaves the positions 0..%d" % ((i, j, k, w), self.g - 2))
             if w < 1 or k < 0:
                 raise ValueError("edge %r needs w >= 1 and k >= 0" % ((i, j, k, w),))
+        if not _is_balanced(self.edges, self.positions):
+            raise ValueError("quotient %r is not balanced at every position" % (self.edges,))
+        if self.degree_over_base() != self.d:
+            raise ValueError("quotient %r has degree %d over the base point, not d=%d"
+                             % (self.edges, self.degree_over_base(), self.d))
+        if not connected(self.positions, ((i, j) for i, j, _k, _w in self.edges)):
+            raise ValueError("quotient %r is disconnected: it does not join the positions "
+                             "0..%d" % (self.edges, self.g - 2))
         if self.lift_automorphisms < 1:
             raise ValueError("lift_automorphisms must be >= 1")
         if len(self.lift) != len(self.shape.e33):

@@ -261,12 +261,12 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
         built.append(1)
         original(self, *args, **kwargs)
 
+    feynman._integer_propagator.cache_clear()
     monkeypatch.setattr(RadicalScalar, "__init__", counting_init)
     for g in (3, 4, 5):
         for t, c in vertex_profiles(g):
-            for graph in labelled_graphs(t, c):
-                for d in (1, 2, 3):
-                    feynman._balanced_sum.__wrapped__(graph, d)
+            for d in (1, 2, 3):
+                feynman._walk(labelled_graphs(t, c), d)
     assert built == []
     direct_cover_sum(_theta(), (0, 1), (3, 0, 0))  # the probe does count
     assert built
@@ -274,7 +274,8 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
     graphs._labelled_graphs.cache_clear()
-    feynman._balanced_sum.cache_clear()
+    feynman._balanced_sums.cache_clear()
+    feynman._integer_propagator.cache_clear()
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a counting path ran a canonical form or automorphism search")
@@ -305,6 +306,76 @@ def test_counts_beyond_the_desk_grid():
     # 122585088 over (2*4)!! = 384
     assert generating_series_coefficient(4, 4) == 11456
     assert generating_series_coefficient(4, 5) == 319232 == Fraction(122585088, 384)
+    # oracle: count_tropical(4, 6) (tests/test_tropical.py)
+    assert generating_series_coefficient(4, 6) == 7558784
+
+
+# -- the walk over shared edge prefixes ---------------------------------------------
+
+
+def _all_labelled(g):
+    return [graph for t, c in vertex_profiles(g) for graph in labelled_graphs(t, c)]
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_walk_values_are_the_identity_integrands(g):
+    # the walk against _integrand, one graph and one product chain at a time
+    for graph in _all_labelled(g):
+        identity = tuple(range(graph.vertex_count))
+        coefficient = integer_coefficients(graph)
+        for d in (1, 2, 3, 4):
+            series = feynman._integrand(graph, identity, d, coefficient)
+            expected = series.coefficient(d, (0,) * len(identity))
+            assert feynman._balanced_sum(graph, d) == expected, (graph, d)
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_walk_values_do_not_depend_on_the_order(g):
+    # reversed, each shared prefix is built by the other graph of its pair
+    # and the profiles change the other way round
+    listed = _all_labelled(g)
+    for d in (2, 3):
+        forward = [feynman._balanced_sum(graph, d) for graph in listed]
+        assert feynman._walk(listed[::-1], d)[::-1] == forward
+        assert feynman._walk(listed, d) == forward
+
+
+def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
+    products = []
+    original = feynman.TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return original(self, other)
+
+    feynman._balanced_sums.cache_clear()
+    monkeypatch.setattr(feynman.TruncatedSeries, "__mul__", counting_mul)
+    # oracle: count_tropical(3, 6)
+    assert generating_series_coefficient(3, 6) == 240096
+    # one product per edge of every labelled graph would be 3030
+    assert len(products) == 1995 < sum(len(graph.edges) for graph in _all_labelled(6)) == 3030
+
+
+def test_integer_propagators_are_built_once_per_key(monkeypatch):
+    built = []
+    original = feynman.propagator
+
+    def counting_propagator(*args):
+        built.append(1)
+        return original(*args)
+
+    feynman._integer_propagator.cache_clear()
+    monkeypatch.setattr(feynman, "propagator", counting_propagator)
+    queries = ((3, 5), (2, 5), (3, 4), (2, 6))
+    for d, g in queries:
+        feynman._balanced_sums.cache_clear()
+        generating_series_coefficient(d, g)
+    assert len(built) == feynman._integer_propagator.cache_info().currsize > 0
+    # the same queries again, walked afresh, build no propagator
+    for d, g in queries:
+        feynman._balanced_sums.cache_clear()
+        generating_series_coefficient(d, g)
+    assert len(built) == feynman._integer_propagator.cache_info().currsize
 
 
 # -- prefactor and assembly --------------------------------------------------------

@@ -245,17 +245,15 @@ def test_preimage_formula_on_genus2_quotient():
 
 def test_preimage_formula_on_tree_quotient():
     # a tree quotient has no connected double cover at all, and the closed
-    # form agrees: (2^0 - 1) / 2 = 0
-    tree = QuotientCover(
-        d=1, g=3, edges=((0, 1, 0, 1),), lift=(0,), lift_automorphisms=1
-    )
-    details = preimage_details(tree)
-    assert details["quotient_genus"] == 0
-    assert details["classes"] == []
-    assert details["lift_sum"] == 0 == details["closed_form"]
-    assert details["connected_assignments"] == 0
-    assert details["total_assignments"] == 2
-    assert verify_preimage_formula(tree)
+    # form agrees: (2^0 - 1) / 2 = 0.  No tree carries a balanced flow, so
+    # no cover has such a quotient and the lift sum is read off the edges
+    edges = ((0, 1, 0, 1),)
+    shape = tropical._shape(edges, 2)
+    assert shape.genus == 0
+    assert tropical.lift_classes(edges, 2) == ([], 0, 2)
+    assert tropical._closed_lift_sum(edges, shape) == 0
+    with pytest.raises(ValueError, match="not balanced"):
+        QuotientCover(d=1, g=3, edges=edges, lift=(0,), lift_automorphisms=1)
 
 
 def test_four_valent_vertices_never_disconnect_lifts():
@@ -406,9 +404,9 @@ def test_multiplicities_are_positive_dyadic_rationals():
 def test_constructor_and_argument_validation():
     with pytest.raises(ValueError):
         QuotientCover(d=2, g=1, edges=(), lift=(), lift_automorphisms=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lift has 1 signs, expected 0"):
         QuotientCover(
-            d=2, g=3, edges=((0, 1, 0, 1),), lift=(0, 1), lift_automorphisms=1
+            d=1, g=3, edges=((0, 1, 0, 1), (1, 0, 1, 1)), lift=(0,), lift_automorphisms=1
         )
     with pytest.raises(ValueError):
         enumerate_quotient_covers(0, 3)
@@ -438,6 +436,30 @@ def test_constructor_and_argument_validation():
 def test_malformed_covers_are_refused(edges, aut):
     with pytest.raises(ValueError):
         QuotientCover(d=2, g=3, edges=edges, lift=(), lift_automorphisms=aut)
+
+
+def test_unbalanced_or_off_degree_covers_are_refused():
+    # germ weights 1 out of and 2 into position 0, and degree 2 over the base
+    with pytest.raises(ValueError, match="not balanced"):
+        QuotientCover(d=3, g=3, edges=((0, 1, 0, 1), (1, 0, 1, 2)), lift=(),
+                      lift_automorphisms=1)
+    balanced = ((0, 1, 0, 2), (1, 0, 1, 2))
+    assert QuotientCover(d=2, g=3, edges=balanced, lift=(),
+                         lift_automorphisms=1).degree_over_base() == 2
+    with pytest.raises(ValueError, match="degree 2 over the base point, not d=3"):
+        QuotientCover(d=3, g=3, edges=balanced, lift=(), lift_automorphisms=1)
+
+
+def test_disconnected_covers_are_refused():
+    # fewer edges than positions - 1 would give a negative quotient genus,
+    # which the closed lift sum cannot take
+    with pytest.raises(ValueError, match="not balanced"):
+        QuotientCover(d=1, g=4, edges=((0, 1, 0, 1),), lift=(0,), lift_automorphisms=1)
+    with pytest.raises(ValueError, match="disconnected"):
+        QuotientCover(d=1, g=4, edges=((0, 0, 1, 1),), lift=(), lift_automorphisms=1)
+    with pytest.raises(ValueError, match="disconnected"):
+        QuotientCover(d=2, g=5, edges=((0, 1, 0, 1), (1, 0, 1, 1), (2, 3, 0, 1), (3, 2, 1, 1)),
+                      lift=(), lift_automorphisms=1)
 
 
 def test_export_round_trip():
