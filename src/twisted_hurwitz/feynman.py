@@ -61,23 +61,25 @@ graph, f(G, identity) / prod m!(G).  So the sum runs over
 ``graphs.labelled_graphs`` under the identity order, with no canonical
 form or automorphism search.
 
-Shared prefixes.  Under the identity order an edge (u, v), u < v, runs
-from u to v, and all its factor and its pruning need is fixed by the
-valences and the edges before it.  The slack at a vertex x, what the
-later edges can still cancel there, is (valence(x) - edges at x placed so
-far) * d, as every edge at x comes once in the list and carries weight at
-most d.  A 2-valent endpoint designates the edge exactly when the edge is
-its first, that is when no earlier edge meets it.  So the integer factor
+Shared prefixes.  ``_factors`` decides, for each edge of a graph in
+index order, everything its product step needs: the orientation (the
+tail is the endpoint earlier in the order), the designations (a 2-valent
+vertex designates its first edge), the pruning limit at either end (what
+the later edges can still cancel there, at most d per edge end not yet
+placed) and the propagator.  ``_integrand``, ``_multidegree_integrals``
+and ``_walk`` are each a fold of ``_times`` over it.  Under the identity
+order an edge (u, v), u < v, runs from u to v, and its integer factor
 depends only on (vertex count, tail, head, d, whether an endpoint is
 2-valent, designation count): that key fixes every exponent and every
 c_w, and ``_integer_propagator`` builds each propagator once.
 ``labelled_graphs`` lists a profile's graphs depth first, so consecutive
 graphs with the same placement of the valences share an edge prefix, and
 ``_walk`` keeps the previous graph's partial products on a stack and
-multiplies only the edges after the common prefix: 1,995 series products
-at g = 6 instead of one per edge, 3,030, and 30,300 at g = 7 instead of
-58,590.  Each partial product is the one ``_integrand`` forms under the
-identity order, so both give every graph the same value.
+multiplies only the edges after the common prefix, where ``_factors``
+only counts placements: 1,995 series products at g = 6 instead of one
+per edge, 3,030, and 30,300 at g = 7 instead of 58,590.  Each partial
+product is the one ``_integrand`` forms under the identity order, so
+both give every graph the same value.
 
 The prefactor is derived, not fitted.  The count is
 
@@ -175,47 +177,14 @@ def propagator_coefficient(w: int, valence_k1: int, valence_k2: int) -> RadicalS
     return RadicalScalar.from_rational(w * (w - 1))
 
 
-def _radical_coefficient(edge, w: int) -> RadicalScalar:
-    """The oracle's per-edge rule: c_w from the endpoint valences."""
-    return propagator_coefficient(w, edge.tail_valence, edge.head_valence)
-
-
-def _integer_weight(w: int, two_valent_end: bool, designations: int) -> int:
-    """The integer rule's c_w: w * (w-1)^designations, except c_1 = 0 when
-    an endpoint is 2-valent."""
-    if w == 1 and two_valent_end:
-        return 0
-    return w * (w - 1) ** designations
-
-
-def integer_coefficients(graph: FeynmanGraph):
-    """The graph's integer per-edge rule (see the module docstring).
-
-    Each 2-valent vertex designates its lowest-index edge, which counts
-    towards that edge's ``_integer_weight``.  Returns a function
-    (OrientedEdge, w) -> int that agrees with the radical rule on every
-    x^0 coefficient of the propagator product.
-    """
-    designations = [0] * len(graph.edges)
-    for v, degree in enumerate(graph.degrees()):
-        if degree == 2:
-            designations[min(k for k, e in enumerate(graph.edges) if v in e)] += 1
-
-    def coefficient(edge, w: int) -> int:
-        return _integer_weight(w, 2 in (edge.tail_valence, edge.head_valence),
-                              designations[edge.index])
-
-    return coefficient
-
-
 @dataclass(frozen=True)
 class OrientedEdge:
     """An edge with its endpoints ordered by the chosen vertex order.
 
     ``tail`` is the endpoint that comes earlier in the order and receives
     the positive x-exponent in the crossing-free part of the propagator.
-    ``index`` names the edge (for a graph's integer rule and the oracle's
-    multidegree); ``vertex_count`` fixes the arity of the x-exponents.
+    ``index`` names the edge (for the oracle's multidegree);
+    ``vertex_count`` fixes the arity of the x-exponents.
     """
 
     index: int
@@ -226,62 +195,106 @@ class OrientedEdge:
     vertex_count: int
 
 
-def oriented_edges(graph: FeynmanGraph, order) -> list:
-    """The graph's edges as OrientedEdge records under the vertex order."""
+def _ranks(graph: FeynmanGraph, order) -> list:
+    """Each vertex's position in ``order``, a permutation of the vertices."""
     order = tuple(order)
     if sorted(order) != list(range(graph.vertex_count)):
         raise ValueError("order must be a permutation of the vertices")
-    rank = {v: i for i, v in enumerate(order)}
+    rank = [0] * graph.vertex_count
+    for position, v in enumerate(order):
+        rank[v] = position
+    return rank
+
+
+def oriented_edges(graph: FeynmanGraph, order) -> list:
+    """The graph's edges as OrientedEdge records under the vertex order."""
+    rank = _ranks(graph, order)
     degrees = graph.degrees()
     out = []
     for k, (u, v) in enumerate(graph.edges):
         tail, head = (u, v) if rank[u] <= rank[v] else (v, u)
-        out.append(
-            OrientedEdge(
-                index=k,
-                tail=tail,
-                head=head,
-                tail_valence=degrees[tail],
-                head_valence=degrees[head],
-                vertex_count=graph.vertex_count,
-            )
-        )
+        out.append(OrientedEdge(k, tail, head, degrees[tail], degrees[head], graph.vertex_count))
     return out
 
 
-def _edge_xexp(edge: OrientedEdge, w: int) -> tuple:
-    xe = [0] * edge.vertex_count
-    xe[edge.tail] += w
-    xe[edge.head] -= w
-    return tuple(xe)
-
-
-def propagator(edge: OrientedEdge, cap: int,
-               coefficient=_radical_coefficient) -> TruncatedSeries:
-    """The edge propagator in the one variable q, truncated at degree ``cap``.
+def _edge_series(vertex_count: int, tail: int, head: int, cap: int, c) -> TruncatedSeries:
+    """The propagator of an edge from ``tail`` to ``head`` in the one
+    variable q, truncated at degree ``cap``, with c_w = ``c[w - 1]``.
 
     The crossing-free part (q-degree 0) is also truncated at weight
     w <= cap, which matches the weight bound of a degree-``cap`` cover.
-    ``coefficient(edge, w)`` gives c_w: the radical rule by default, or a
-    graph's ``integer_coefficients``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     terms = {}
     for a in range(cap + 1):
         # q^0: every weight up to cap, tail to head; q^a: w | a, both ways
         weights, signs = (range(1, cap + 1), (1,)) if a == 0 else (_divisors(a), (1, -1))
         for w in weights:
-            coef = coefficient(edge, w)
+            coef = c[w - 1]
             if not coef:
                 continue
             for sign in signs:  # the two signs meet only on a loop
-                key = (a, _edge_xexp(edge, sign * w))
+                xe = [0] * vertex_count
+                xe[tail] += sign * w
+                xe[head] -= sign * w
+                key = (a, tuple(xe))
                 terms[key] = terms[key] + coef if key in terms else coef
     # the keys are well-formed by construction, so skip the per-term checks
-    series = TruncatedSeries(edge.vertex_count, cap)
+    series = TruncatedSeries(vertex_count, cap)
     series.terms = {key: coef for key, coef in terms.items() if coef}
     return series
+
+
+def propagator(edge: OrientedEdge, cap: int) -> TruncatedSeries:
+    """The edge's propagator in the radical rule, truncated at degree
+    ``cap``; c_w is ``propagator_coefficient`` of the endpoint valences."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return _edge_series(edge.vertex_count, edge.tail, edge.head, cap,
+                        [propagator_coefficient(w, edge.tail_valence, edge.head_valence)
+                         for w in range(1, cap + 1)])
+
+
+@lru_cache(maxsize=None)
+def _integer_propagator(vertex_count: int, tail: int, head: int, cap: int,
+                        two_valent_end: bool, designations: int) -> TruncatedSeries:
+    """The integer rule's propagator of an edge from ``tail`` to ``head``,
+    built once per key; callers only read it.  Its c_w is
+    w * (w-1)^designations, except c_1 = 0 when an endpoint is 2-valent."""
+    return _edge_series(vertex_count, tail, head, cap,
+                        [0 if w == 1 and two_valent_end else w * (w - 1) ** designations
+                         for w in range(1, cap + 1)])
+
+
+def _factors(edges, degrees, rank, cap: int, integer: bool, shared: int = 0):
+    """Yield (tail, head, propagator, tail limit, head limit) for each of
+    a graph's ``edges`` in index order, in the integer rule or the radical
+    one, from edge ``shared`` on; the edges before it are only counted.
+
+    ``degrees`` are the graph's valences and ``rank[v]`` is the position of
+    vertex v in the vertex order (see ``_ranks``); the tail is the
+    endpoint that comes earlier.  A limit is the x-exponent the later
+    edges can still cancel at that endpoint: at most ``cap`` per edge end
+    not yet placed."""
+    n = len(degrees)
+    placed = [0] * n  # edge ends placed so far at each vertex
+    for k, (tail, head) in enumerate(edges):
+        placed[tail] += 1
+        placed[head] += 1
+        if k < shared:
+            continue
+        if rank[tail] > rank[head]:
+            tail, head = head, tail
+        tail_valence, head_valence = degrees[tail], degrees[head]
+        if integer:
+            # a 2-valent vertex designates its first edge (module docstring)
+            designations = ((tail_valence == 2 and placed[tail] == 1)
+                            + (head_valence == 2 and placed[head] == 1))
+            factor = _integer_propagator(n, tail, head, cap, 2 in (tail_valence, head_valence),
+                                         designations)
+        else:
+            factor = propagator(OrientedEdge(k, tail, head, tail_valence, head_valence, n), cap)
+        yield (tail, head, factor,
+               (tail_valence - placed[tail]) * cap, (head_valence - placed[head]) * cap)
 
 
 def _graph_of(graph_or_class) -> FeynmanGraph:
@@ -290,20 +303,6 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
     if isinstance(graph_or_class, FeynmanGraph):
         return graph_or_class
     raise TypeError("expected a FeynmanGraph or GraphClass, got %r" % (graph_or_class,))
-
-
-def _slack(edges, vertex_count: int, cap: int) -> list:
-    """Per edge k, the x-exponent that the edges after k can still cancel
-    at each vertex: at most ``cap`` per incident non-loop edge."""
-    slack = []
-    running = [0] * vertex_count
-    for edge in reversed(edges):
-        slack.append(tuple(running))
-        if edge.tail != edge.head:
-            running[edge.tail] += cap
-            running[edge.head] += cap
-    slack.reverse()
-    return slack
 
 
 def _times(series: TruncatedSeries, factor: TruncatedSeries, tail: int, head: int,
@@ -322,43 +321,40 @@ def _times(series: TruncatedSeries, factor: TruncatedSeries, tail: int, head: in
     return product
 
 
-def _integrand(graph: FeynmanGraph, order: tuple, cap: int,
-               coefficient=_radical_coefficient) -> TruncatedSeries:
-    """x-balanced part of the propagator product under one vertex order,
-    with c_w from ``coefficient`` (as in ``propagator``): one graph's
-    product for any order and either rule, where ``_walk`` serves the
-    identity order and the integer rule.
+def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
+    """x-balanced part of the propagator product under one vertex order, in
+    the integer rule: one graph's product for any order, where ``_walk``
+    serves the identity order.
 
     After each factor, terms whose x-exponent at some vertex exceeds what
     the remaining edges could still cancel are dropped (``_times``).  This
     never touches an x^0 coefficient of the full product, and the final
     series consists of exactly those.
     """
-    edges = oriented_edges(graph, order)
+    factors = _factors(graph.edges, graph.degrees(), _ranks(graph, order), cap, True)
     series = TruncatedSeries.constant(graph.vertex_count, cap, 1)
-    for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
-        series = _times(series, propagator(edge, cap, coefficient), edge.tail, edge.head,
-                        limits[edge.tail], limits[edge.head])
+    for tail, head, factor, tail_limit, head_limit in factors:
+        series = _times(series, factor, tail, head, tail_limit, head_limit)
     return series
 
 
 @lru_cache(maxsize=16)
 def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
-                           coefficient=_radical_coefficient) -> MappingProxyType:
+                           integer: bool = False) -> MappingProxyType:
     """Map every multidegree a with |a| <= cap to the x^0 coefficient of
     the product of each edge k's degree-a_k propagator part (zeros left
-    out): ``_integrand``'s product, with each partial product split by the
-    degrees of its edges so far."""
-    edges = oriented_edges(graph, order)
+    out), in the radical rule or the integer one: ``_integrand``'s
+    product, with each partial product split by the degrees of its edges
+    so far."""
+    factors = _factors(graph.edges, graph.degrees(), _ranks(graph, order), cap, integer)
     partial = {(): TruncatedSeries.constant(graph.vertex_count, cap, 1)}
-    for edge, limits in zip(edges, _slack(edges, graph.vertex_count, cap)):
-        factor = propagator(edge, cap, coefficient)
+    for tail, head, factor, tail_limit, head_limit in factors:
         partial = {
             prefix + (degree,): product
             for prefix, series in partial.items()
             for degree in range(cap - sum(prefix) + 1)
-            if (product := _times(series, factor.degree_part(degree), edge.tail, edge.head,
-                                  limits[edge.tail], limits[edge.head]))
+            if (product := _times(series, factor.degree_part(degree), tail, head,
+                                  tail_limit, head_limit))
         }
     zero_x = (0,) * graph.vertex_count
     # read-only, as every caller gets the same cached mapping
@@ -453,16 +449,6 @@ def direct_cover_sum(graph_class, order, a) -> RadicalScalar:
 _READING = "2^(g-1) multiplies, #Aut divides"
 
 
-@lru_cache(maxsize=None)
-def _integer_propagator(vertex_count: int, tail: int, head: int, cap: int,
-                        two_valent_end: bool, designations: int) -> TruncatedSeries:
-    """The integer rule's propagator of an edge from ``tail`` to ``head``,
-    built once per key; callers only read it."""
-    # the coefficient reads the key, so the edge's valences go unread
-    edge = OrientedEdge(0, tail, head, 3, 3, vertex_count)
-    return propagator(edge, cap, lambda _edge, w: _integer_weight(w, two_valent_end, designations))
-
-
 def _walk(graphs, d: int) -> list:
     """f(G, identity) at degree d for each loopless graph G, in the order
     given, in the integer rule.
@@ -484,19 +470,11 @@ def _walk(graphs, d: int) -> list:
                 shared += 1
         else:
             stack = [TruncatedSeries.constant(n, d, 1)]
+            identity = list(range(n))  # the identity order is its own rank
         del stack[shared + 1:]
-        placed = [0] * n  # edges placed so far at each vertex
-        for k, (u, v) in enumerate(edges):  # u < v: u is the tail under the identity
-            placed[u] += 1
-            placed[v] += 1
-            if k < shared:
-                continue
-            # a 2-valent vertex designates its first edge
-            designations = ((degrees[u] == 2 and placed[u] == 1)
-                            + (degrees[v] == 2 and placed[v] == 1))
-            factor = _integer_propagator(n, u, v, d, 2 in (degrees[u], degrees[v]), designations)
-            stack.append(_times(stack[-1], factor, u, v,
-                                (degrees[u] - placed[u]) * d, (degrees[v] - placed[v]) * d))
+        factors = _factors(edges, degrees, identity, d, True, shared)
+        for tail, head, factor, tail_limit, head_limit in factors:
+            stack.append(_times(stack[-1], factor, tail, head, tail_limit, head_limit))
         values.append(stack[-1].coefficient(d, (0,) * n))
         previous, previous_degrees = edges, degrees
     return values

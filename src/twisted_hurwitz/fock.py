@@ -71,6 +71,8 @@ def partitions(n):
 
 def check_partition(mu):
     mu = tuple(mu)
+    if any(type(p) is not int for p in mu):
+        raise TypeError("partition parts must be integers: %r" % (mu,))
     if any(p < 1 for p in mu):
         raise ValueError("partition parts must be positive: %r" % (mu,))
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):

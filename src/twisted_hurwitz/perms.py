@@ -151,6 +151,7 @@ def is_in_hyperoctahedral(p: Perm, d: int) -> bool:
 
 def has_self_paired_cycle(p: Perm, d: int) -> bool:
     """True if some cycle of p has support invariant under the pairing."""
+    _check_size(p, d)
     tau = pairing_involution(d)
     for c in cycles(p):
         if {tau[x] for x in c} == set(c):

@@ -60,32 +60,13 @@ class TruncatedSeries:
     def constant(cls, x_count, q_cap, value) -> "TruncatedSeries":
         return cls(x_count, q_cap, {(0, (0,) * x_count): value})
 
-    @classmethod
-    def monomial(cls, x_count, q_cap, degree, xexp, value) -> "TruncatedSeries":
-        return cls(x_count, q_cap, {(degree, tuple(xexp)): value})
-
     # -- ring operations ----------------------------------------------------
-
-    def _check_compatible(self, other):
-        if self.x_count != other.x_count or self.q_cap != other.q_cap:
-            raise ValueError("series have different variables or caps")
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            acc = out.get(key)
-            out[key] = coef if acc is None else acc + coef
-        result = TruncatedSeries(self.x_count, self.q_cap)
-        result.terms = {k: v for k, v in out.items() if v}
-        return result
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_compatible(other)
+        if self.x_count != other.x_count or self.q_cap != other.q_cap:
+            raise ValueError("series have different variables or caps")
         cap = self.q_cap
         right = [(db, xb, cb) for (db, xb), cb in other.terms.items()]
         out = {}
@@ -102,12 +83,6 @@ class TruncatedSeries:
         result.terms = {k: v for k, v in out.items() if v}
         return result
 
-    def scale(self, value) -> "TruncatedSeries":
-        value = _check_scalar(value)
-        result = TruncatedSeries(self.x_count, self.q_cap)
-        result.terms = {k: v for k, v in ((k, c * value) for k, c in self.terms.items()) if v}
-        return result
-
     # -- extraction ----------------------------------------------------------
 
     def degree_part(self, degree) -> "TruncatedSeries":
@@ -119,11 +94,6 @@ class TruncatedSeries:
     def coefficient(self, degree, xexp) -> RadicalScalar | Fraction | int:
         """The coefficient of one term; int 0 when the series has none."""
         return self.terms.get((degree, tuple(xexp)), 0)
-
-    def x_constant_part(self) -> dict:
-        """Map q-degree -> coefficient, over terms with all x-exponents 0."""
-        zero_x = (0,) * self.x_count
-        return {degree: coef for (degree, xe), coef in self.terms.items() if xe == zero_x}
 
     def __bool__(self):
         return bool(self.terms)

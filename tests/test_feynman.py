@@ -15,13 +15,13 @@ from twisted_hurwitz.feynman import (
     feynman_integral,
     generating_series_coefficient,
     generating_series_export,
-    integer_coefficients,
     normalization_reading,
     oriented_edges,
     propagator,
     propagator_coefficient,
 )
 from twisted_hurwitz.graphs import (
+    FeynmanGraph,
     canonical_form,
     enumerate_graphs,
     labelled_graphs,
@@ -153,6 +153,26 @@ def test_integrals_match_direct_enumeration():
     assert checked > 500
 
 
+def test_integrals_match_direct_enumeration_on_loops():
+    # the graph sum enumerates no loops, but the oracle takes them: a loop
+    # moves no x-exponent, and the factor limits still count both its ends
+    loop_graphs = (FeynmanGraph(1, ((0, 0),)),
+                   FeynmanGraph(2, ((0, 0), (0, 1), (1, 1))),
+                   FeynmanGraph(3, ((0, 0), (0, 1), (1, 2), (2, 2))))
+    values = []
+    for graph in loop_graphs:
+        for order in itertools.permutations(range(graph.vertex_count)):
+            for a in itertools.product(range(5), repeat=len(graph.edges)):
+                if 1 <= sum(a) <= 4:
+                    value = feynman_integral(graph, order, a)
+                    assert value == direct_cover_sum(graph, order, a), (graph, order, a)
+                    values.append(value)
+    # oracle: hand enumeration; the lone loop at degree a has the weights
+    # w | a in either direction, sum 2 * w * (w - 1)
+    assert len(values) == 486
+    assert [v for v in values if v] == [4, 12, 28]
+
+
 def test_integrals_on_the_desk_grid_are_rational():
     for g in (3, 4, 5):
         for t, c in [(t, c) for c in range(g) for t in [g - 1 - c] if t % 2 == 0]:
@@ -178,11 +198,10 @@ def test_integer_rule_matches_the_radical_oracle():
     for g in (3, 4, 5):
         for cls in _graph_classes(g):
             graph = cls.graph
-            coefficient = integer_coefficients(graph)
             for order in itertools.permutations(range(graph.vertex_count)):
                 for cap in (1, 2, 3):
                     radical = feynman._multidegree_integrals(graph, order, cap)
-                    integer = feynman._multidegree_integrals(graph, order, cap, coefficient)
+                    integer = feynman._multidegree_integrals(graph, order, cap, True)
                     assert integer.keys() == radical.keys()
                     for a, coef in integer.items():
                         assert type(coef) is int
@@ -191,16 +210,36 @@ def test_integer_rule_matches_the_radical_oracle():
     assert checked > 300
 
 
+def _crossing_free_weights(graph, order, w):
+    # c_w of each edge's integer factor, read off its q^0 x_tail^w x_head^-w term
+    weights = []
+    rank = feynman._ranks(graph, order)
+    for tail, head, factor, _, _ in feynman._factors(graph.edges, graph.degrees(), rank, w, True):
+        xexp = [0] * graph.vertex_count
+        xexp[tail], xexp[head] = w, -w
+        weights.append(factor.coefficient(0, xexp))
+    return weights
+
+
 def test_integer_rule_designates_one_edge_per_twovalent_vertex():
     graph = enumerate_graphs(0, 3)[0].graph  # triangle of 2-valent vertices
-    edges = oriented_edges(graph, (0, 1, 2))
-    coefficient = integer_coefficients(graph)
-    assert [e.index for e in edges] == [0, 1, 2]
-    # edges (0,1), (0,2), (1,2): vertices 0 and 1 designate edge 0, 2 edge 1
-    assert [coefficient(e, 3) for e in edges] == [3 * 2 * 2, 3 * 2, 3]
-    assert [coefficient(e, 1) for e in edges] == [0, 0, 0]
-    theta = _theta().graph
-    assert [integer_coefficients(theta)(e, 1) for e in oriented_edges(theta, (0, 1))] == [1] * 3
+    assert graph.edges == ((0, 1), (0, 2), (1, 2))
+    # vertices 0 and 1 designate edge 0, vertex 2 edge 1, under any order
+    for order in ((0, 1, 2), (2, 1, 0)):
+        assert _crossing_free_weights(graph, order, 3) == [3 * 2 * 2, 3 * 2, 3]
+        assert _crossing_free_weights(graph, order, 1) == [0, 0, 0]
+    assert _crossing_free_weights(_theta().graph, (0, 1), 1) == [1] * 3
+
+
+def test_factor_limits_count_the_edge_ends_still_to_come():
+    theta = _theta().graph  # three edges (0, 1)
+    degrees = theta.degrees()
+    steps = list(feynman._factors(theta.edges, degrees, (1, 0), 2, False))  # vertex 1 first
+    assert [(tail, head) for tail, head, *_ in steps] == [(1, 0)] * 3
+    assert [step[3:] for step in steps] == [(4, 4), (2, 2), (0, 0)]
+    # the shared edges are counted, not yielded
+    shared = feynman._factors(theta.edges, degrees, (0, 1), 2, True, 2)
+    assert [step[3:] for step in shared] == [(0, 0)]
 
 
 def _class_of(graph):
@@ -224,11 +263,10 @@ def test_order_sum_is_the_labelled_identity_sum():
             assert sorted(by_class) == [cls.graph.edges for cls in classes]
             for cls in classes:
                 graph = cls.graph
-                coefficient = integer_coefficients(graph)
+                zero_x = (0,) * graph.vertex_count
                 for d in (1, 2):
                     full = sum(
-                        feynman._integrand(graph, order, d, coefficient)
-                        .x_constant_part().get(d, 0)
+                        feynman._integrand(graph, order, d).coefficient(d, zero_x)
                         for order in itertools.permutations(range(graph.vertex_count))
                     )
                     labelled = sum(feynman._balanced_sum(G, d) for G in by_class[graph.edges])
@@ -322,9 +360,8 @@ def test_walk_values_are_the_identity_integrands(g):
     # the walk against _integrand, one graph and one product chain at a time
     for graph in _all_labelled(g):
         identity = tuple(range(graph.vertex_count))
-        coefficient = integer_coefficients(graph)
         for d in (1, 2, 3, 4):
-            series = feynman._integrand(graph, identity, d, coefficient)
+            series = feynman._integrand(graph, identity, d)
             expected = series.coefficient(d, (0,) * len(identity))
             assert feynman._balanced_sum(graph, d) == expected, (graph, d)
 
@@ -358,14 +395,14 @@ def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
 
 def test_integer_propagators_are_built_once_per_key(monkeypatch):
     built = []
-    original = feynman.propagator
+    original = feynman._edge_series
 
-    def counting_propagator(*args):
+    def counting_series(*args):
         built.append(1)
         return original(*args)
 
     feynman._integer_propagator.cache_clear()
-    monkeypatch.setattr(feynman, "propagator", counting_propagator)
+    monkeypatch.setattr(feynman, "_edge_series", counting_series)
     queries = ((3, 5), (2, 5), (3, 4), (2, 6))
     for d, g in queries:
         feynman._balanced_sums.cache_clear()

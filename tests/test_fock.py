@@ -38,6 +38,13 @@ def test_partition_utilities():
         check_partition((0,))
     with pytest.raises(ValueError):
         check_partition((1, 2))
+    for parts in ((1.5,), (2, 1.0), (True,)):
+        with pytest.raises(TypeError):
+            check_partition(parts)
+    with pytest.raises(TypeError):
+        b((1.5,))
+    with pytest.raises(TypeError):
+        matrix_element((1.5, 1.5), (3,), 1)
 
 
 def test_ladder_operator_actions():

@@ -97,6 +97,17 @@ def test_twist_symmetric_inverts_under_tau():
     assert sizes == [2, 10, 76, 764, 9496]  # involutions of S_2d
 
 
+def test_pairing_predicates_refuse_a_permutation_off_2d_points():
+    # p must act on exactly the 2d points that tau pairs
+    assert perms.has_self_paired_cycle((1, 0), 1)
+    assert not perms.has_self_paired_cycle((1, 0, 3, 2), 2)
+    for p, d in (((1, 0), 2), (tuple(range(6)), 2)):
+        with pytest.raises(ValueError, match="expected 4"):
+            perms.has_self_paired_cycle(p, d)
+        with pytest.raises(ValueError, match="expected 4"):
+            perms.is_in_hyperoctahedral(p, d)
+
+
 def test_twist_admissible_sizes():
     # oracle: direct filter of S_{2d} by the two defining conditions
     sizes = {}

@@ -93,52 +93,53 @@ def test_ring_axioms(a, b, c):
 # -- truncated series ------------------------------------------------------------
 
 
-def S(x_count, cap):
-    return TruncatedSeries.constant(x_count, cap, 1)
+def S(x_count, cap, degree, xexp, value=1):
+    return TruncatedSeries(x_count, cap, {(degree, xexp): value})
 
 
-def test_monomial_bookkeeping():
-    m = TruncatedSeries.monomial(2, 3, 1, (2, -1), Fraction(5))
+def test_constructor_bookkeeping():
+    m = S(2, 3, 1, (2, -1), Fraction(5))
     assert m.coefficient(1, (2, -1)) == 5
     assert m.coefficient(1, (2, 0)) == 0
+    assert not S(2, 3, 1, (2, -1), 0)  # zero coefficients are dropped
     with pytest.raises(ValueError):
-        TruncatedSeries.monomial(2, 3, 4, (0, 0), 1)  # over the cap
+        S(2, 3, 4, (0, 0))  # over the cap
     with pytest.raises(ValueError):
-        TruncatedSeries.monomial(2, 3, -1, (0, 0), 1)
+        S(2, 3, -1, (0, 0))
     with pytest.raises(ValueError):
-        TruncatedSeries.monomial(2, 3, 1, (0,), 1)
+        S(2, 3, 1, (0,))
+    with pytest.raises(TypeError):
+        S(2, 3, 1, (0, 0), 0.5)
 
 
 def test_multiplication_truncates_at_cap():
-    q = TruncatedSeries.monomial(1, 2, 1, (0,), 1)
+    q = S(1, 2, 1, (0,))
     prod = q * q
     assert prod.coefficient(2, (0,)) == 1
     assert not (prod * q)  # q^3 exceeds the cap, so the product is empty
-    qx = TruncatedSeries.monomial(1, 2, 1, (3,), 1)
+    qx = S(1, 2, 1, (3,))
     assert (qx * q).coefficient(2, (3,)) == 1  # only q-degrees are capped
 
 
 def test_x_exponents_may_be_negative_and_cancel():
-    up = TruncatedSeries.monomial(2, 4, 1, (1, -1), 1)
-    down = TruncatedSeries.monomial(2, 4, 1, (-1, 1), 1)
+    up = S(2, 4, 1, (1, -1))
+    down = S(2, 4, 1, (-1, 1))
     prod = up * down
-    assert prod.coefficient(2, (0, 0)) == 1
-    assert prod.x_constant_part() == {2: RadicalScalar.from_rational(1)}
-    assert up.x_constant_part() == {}
+    assert prod.terms == {(2, (0, 0)): 1}
+    assert prod.coefficient(2, (0, 0)) == RadicalScalar.from_rational(1)
 
 
-def test_addition_requires_matching_shape():
+def test_multiplication_requires_matching_shape():
     with pytest.raises(ValueError):
-        S(1, 2) + S(1, 3)
+        TruncatedSeries.constant(1, 2, 1) * TruncatedSeries.constant(1, 3, 1)
     with pytest.raises(ValueError):
-        S(1, 2) + S(2, 2)
-    two = S(1, 2) + S(1, 2)
-    assert two.coefficient(0, (0,)) == 2
-    assert two.scale(Fraction(1, 2)).coefficient(0, (0,)) == 1
+        TruncatedSeries.constant(1, 2, 1) * TruncatedSeries.constant(2, 2, 1)
 
 
-def test_duplicate_terms_accumulate():
-    s = TruncatedSeries(1, 3, {(1, (0,)): Fraction(1), (1, (1,)): Fraction(2)})
-    t = TruncatedSeries(1, 3, {(1, (0,)): Fraction(3)})
-    assert (s + t).coefficient(1, (0,)) == 4
-    assert (s + t).coefficient(1, (1,)) == 2
+def test_products_landing_on_one_term_accumulate():
+    # (x + 2/x)(x + 2/x) = x^2 + 4 + 4/x^2, and (x - 1/x)(x + 1/x) has no x^0 term
+    s = TruncatedSeries(1, 3, {(1, (1,)): Fraction(1), (1, (-1,)): Fraction(2)})
+    assert (s * s).terms == {(2, (2,)): 1, (2, (0,)): 4, (2, (-2,)): 4}
+    minus = TruncatedSeries(1, 3, {(0, (1,)): 1, (0, (-1,)): -1})
+    plus = TruncatedSeries(1, 3, {(0, (1,)): 1, (0, (-1,)): 1})
+    assert (minus * plus).terms == {(0, (2,)): 1, (0, (-2,)): -1}
