@@ -42,9 +42,9 @@ any 2-valent endpoint (as sqrt(0) = 0 makes it in the radical rule).  On
 every x-balanced monomial both rules give the same value, so every x^0
 coefficient agrees.  Both rules give positive factors with the same zero
 set (w = 1 at a 2-valent end), so every partial product has the same
-terms under either rule and the pruning below, which reads exponents
-only, drops the same ones.  Only coefficients off x^0, which nothing
-reads, differ.
+terms under either rule, and a product's edge limits (below), which read
+exponents only, keep the same ones.  Only coefficients off x^0, which
+nothing reads, differ.
 
 Labelled graphs instead of orders.  Let f(G, pi) be the sum of the x^0
 coefficients of total q-degree d of graph G under the vertex order pi.
@@ -66,8 +66,14 @@ index order, everything its product step needs: the orientation (the
 tail is the endpoint earlier in the order), the designations (a 2-valent
 vertex designates its first edge), the pruning limit at either end (what
 the later edges can still cancel there, at most d per edge end not yet
-placed) and the propagator.  ``_integrand``, ``_multidegree_integrals``
-and ``_walk`` are each a fold of ``_times`` over it.  Under the identity
+placed) and the propagator, and yields the propagator bound to that
+placement (``TruncatedSeries.bound``).  A product with a bound factor
+forms only the term pairs whose exponents at the edge's tail and head
+stay within the limits, so no term the later edges could not cancel is
+ever built: at (4,7) the products form 288,275 pairs for 209,583 kept
+terms, where multiplying first and filtering after formed 1,806,851.
+``_integrand``, ``_multidegree_integrals`` and ``_walk`` are each a fold
+of the product over ``_factors``.  Under the identity
 order an edge (u, v), u < v, runs from u to v, and its integer factor
 depends only on (vertex count, tail, head, d, whether an endpoint is
 2-valent, designation count): that key fixes every exponent and every
@@ -266,15 +272,18 @@ def _integer_propagator(vertex_count: int, tail: int, head: int, cap: int,
 
 
 def _factors(edges, degrees, rank, cap: int, integer: bool, shared: int = 0):
-    """Yield (tail, head, propagator, tail limit, head limit) for each of
-    a graph's ``edges`` in index order, in the integer rule or the radical
-    one, from edge ``shared`` on; the edges before it are only counted.
+    """Yield the propagator of each of a graph's ``edges`` in index order,
+    in the integer rule or the radical one, bound to the edge's tail,
+    head and their limits (``TruncatedSeries.bound``), from edge
+    ``shared`` on; the edges before it are only counted.
 
     ``degrees`` are the graph's valences and ``rank[v]`` is the position of
     vertex v in the vertex order (see ``_ranks``); the tail is the
     endpoint that comes earlier.  A limit is the x-exponent the later
     edges can still cancel at that endpoint: at most ``cap`` per edge end
-    not yet placed."""
+    not yet placed.  The factor moves only the exponents at its tail and
+    head, and every other vertex keeps its limit from the previous edge,
+    so a product with it checks only those two."""
     n = len(degrees)
     placed = [0] * n  # edge ends placed so far at each vertex
     for k, (tail, head) in enumerate(edges):
@@ -293,8 +302,8 @@ def _factors(edges, degrees, rank, cap: int, integer: bool, shared: int = 0):
                                          designations)
         else:
             factor = propagator(OrientedEdge(k, tail, head, tail_valence, head_valence, n), cap)
-        yield (tail, head, factor,
-               (tail_valence - placed[tail]) * cap, (head_valence - placed[head]) * cap)
+        yield factor.bound(tail, head, (tail_valence - placed[tail]) * cap,
+                           (head_valence - placed[head]) * cap)
 
 
 def _graph_of(graph_or_class) -> FeynmanGraph:
@@ -305,36 +314,19 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
     raise TypeError("expected a FeynmanGraph or GraphClass, got %r" % (graph_or_class,))
 
 
-def _times(series: TruncatedSeries, factor: TruncatedSeries, tail: int, head: int,
-           tail_limit: int, head_limit: int) -> TruncatedSeries:
-    """series * factor without the terms whose x-exponent at the tail or
-    head exceeds its limit, which the remaining edges could not cancel.
-
-    ``factor`` is the propagator (or a slice of it) of an edge from
-    ``tail`` to ``head``, and ``series`` already keeps the previous edge's
-    limits.  The factor moves only the exponents at the edge's tail and
-    head, and every other vertex keeps its limit from the previous edge,
-    so only those two are checked."""
-    product = series * factor
-    product.terms = {key: coef for key, coef in product.terms.items()
-                     if abs(key[1][tail]) <= tail_limit and abs(key[1][head]) <= head_limit}
-    return product
-
-
 def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
     """x-balanced part of the propagator product under one vertex order, in
     the integer rule: one graph's product for any order, where ``_walk``
     serves the identity order.
 
-    After each factor, terms whose x-exponent at some vertex exceeds what
-    the remaining edges could still cancel are dropped (``_times``).  This
-    never touches an x^0 coefficient of the full product, and the final
-    series consists of exactly those.
+    Each product with a bound factor of ``_factors`` forms only the terms
+    whose x-exponent at every vertex stays within what the remaining
+    edges could still cancel.  This never touches an x^0 coefficient of
+    the full product, and the final series consists of exactly those.
     """
-    factors = _factors(graph.edges, graph.degrees(), _ranks(graph, order), cap, True)
     series = TruncatedSeries.constant(graph.vertex_count, cap, 1)
-    for tail, head, factor, tail_limit, head_limit in factors:
-        series = _times(series, factor, tail, head, tail_limit, head_limit)
+    for factor in _factors(graph.edges, graph.degrees(), _ranks(graph, order), cap, True):
+        series = series * factor
     return series
 
 
@@ -348,13 +340,12 @@ def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
     so far."""
     factors = _factors(graph.edges, graph.degrees(), _ranks(graph, order), cap, integer)
     partial = {(): TruncatedSeries.constant(graph.vertex_count, cap, 1)}
-    for tail, head, factor, tail_limit, head_limit in factors:
+    for factor in factors:
         partial = {
             prefix + (degree,): product
             for prefix, series in partial.items()
             for degree in range(cap - sum(prefix) + 1)
-            if (product := _times(series, factor.degree_part(degree), tail, head,
-                                  tail_limit, head_limit))
+            if (product := series * factor.degree_part(degree))
         }
     zero_x = (0,) * graph.vertex_count
     # read-only, as every caller gets the same cached mapping
@@ -362,7 +353,9 @@ def _multidegree_integrals(graph: FeynmanGraph, order: tuple, cap: int,
 
 
 def _check_multidegree(graph: FeynmanGraph, a) -> tuple:
-    a = tuple(int(x) for x in a)
+    a = tuple(a)
+    if any(type(x) is not int for x in a):
+        raise TypeError("multidegree entries must be integers: %r" % (a,))
     if len(a) != len(graph.edges):
         raise ValueError(
             "multidegree has %d entries for %d edges" % (len(a), len(graph.edges))
@@ -455,7 +448,9 @@ def _walk(graphs, d: int) -> list:
 
     The partial products of the previous graph's edges stay on a stack, so
     a graph with the previous one's valences multiplies only the edges
-    after their common prefix (module docstring, "Shared prefixes")."""
+    after their common prefix (module docstring, "Shared prefixes"), each
+    by its bound factor from ``_factors``, which keeps the product within
+    the edge's limits."""
     values = []
     stack = []  # stack[k]: the product of the first k edges
     previous, previous_degrees = (), None
@@ -472,9 +467,8 @@ def _walk(graphs, d: int) -> list:
             stack = [TruncatedSeries.constant(n, d, 1)]
             identity = list(range(n))  # the identity order is its own rank
         del stack[shared + 1:]
-        factors = _factors(edges, degrees, identity, d, True, shared)
-        for tail, head, factor, tail_limit, head_limit in factors:
-            stack.append(_times(stack[-1], factor, tail, head, tail_limit, head_limit))
+        for factor in _factors(edges, degrees, identity, d, True, shared):
+            stack.append(stack[-1] * factor)
         values.append(stack[-1].coefficient(d, (0,) * n))
         previous, previous_degrees = edges, degrees
     return values

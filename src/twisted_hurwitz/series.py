@@ -7,6 +7,14 @@ interest later is the part where every x-exponent is zero).
 Multiplication drops any product term whose q-degree exceeds the cap, so
 the cap is preserved by construction.
 
+A series can be bound to an edge: ``bound(tail, head, tail_limit,
+head_limit)`` returns a view sharing its terms, and a product with a
+bound right operand drops the terms whose x-exponent at the tail or head
+would exceed its limit as it forms them, before their key or coefficient
+is built.  The graph sum binds every propagator to its placement, so its
+products form only the term pairs the remaining edges could still
+cancel; an unbound product is the exact one.
+
 One q suffices for the graph sum: it sets every edge variable q_k to the
 same q and reads the degree-d part, so only the total degree is ever
 read.  A per-edge coefficient [q_1^a_1 ... q_r^a_r] is the product of
@@ -19,7 +27,8 @@ graph sum multiplies ints, its radical reference path RadicalScalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import inf
+from operator import add, itemgetter
 
 from .radicals import RadicalScalar
 
@@ -31,7 +40,7 @@ def _check_scalar(value):
 
 
 class TruncatedSeries:
-    __slots__ = ("x_count", "q_cap", "terms")
+    __slots__ = ("x_count", "q_cap", "terms", "limits")
 
     def __init__(self, x_count: int, q_cap: int, terms=None):
         if x_count < 0 or q_cap < 0:
@@ -53,6 +62,7 @@ class TruncatedSeries:
                     acc = clean.get(key)
                     clean[key] = coef if acc is None else acc + coef
         self.terms = {k: v for k, v in clean.items() if v}
+        self.limits = None  # (tail, head, tail limit, head limit) once bound
 
     # -- constructors -------------------------------------------------------
 
@@ -60,36 +70,64 @@ class TruncatedSeries:
     def constant(cls, x_count, q_cap, value) -> "TruncatedSeries":
         return cls(x_count, q_cap, {(0, (0,) * x_count): value})
 
+    def bound(self, tail: int, head: int, tail_limit: int, head_limit: int) -> "TruncatedSeries":
+        """A view of this series, sharing its terms, that as the right
+        operand of a product drops every term whose x-exponent at ``tail``
+        or ``head`` would exceed ``tail_limit`` or ``head_limit`` in
+        absolute value."""
+        if not (0 <= tail < self.x_count and 0 <= head < self.x_count):
+            raise ValueError("tail and head must be x-variables of the series")
+        if tail_limit < 0 or head_limit < 0:
+            raise ValueError("limits must be non-negative")
+        return self._like(self.terms, (tail, head, tail_limit, head_limit))
+
+    def _like(self, terms, limits=None) -> "TruncatedSeries":
+        """A series of this shape holding ``terms`` and ``limits`` as
+        given, unchecked."""
+        result = object.__new__(TruncatedSeries)
+        result.x_count, result.q_cap, result.terms, result.limits = (
+            self.x_count, self.q_cap, terms, limits)
+        return result
+
     # -- ring operations ----------------------------------------------------
 
     def __mul__(self, other):
+        """The product truncated at the cap; when ``other`` is bound (see
+        ``bound``), only its terms within the limits at the edge's ends."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         if self.x_count != other.x_count or self.q_cap != other.q_cap:
             raise ValueError("series have different variables or caps")
         cap = self.q_cap
-        right = [(db, xb, cb) for (db, xb), cb in other.terms.items()]
+        limits = other.limits
+        # an unbound product checks the ends against limits nothing reaches
+        tail, head, tail_limit, head_limit = limits or (0, 0, inf, inf)
+        right = [(db, xb[tail] if limits else 0, xb[head] if limits else 0, xb, cb)
+                 for (db, xb), cb in other.terms.items()]
+        right.sort(key=itemgetter(0))  # so a left term stops at its room
         out = {}
         for (da, xa), ca in self.terms.items():
             room = cap - da
-            for db, xb, cb in right:
+            ta, ha = (xa[tail], xa[head]) if limits else (0, 0)
+            # |ta + tb| <= tail_limit, |ha + hb| <= head_limit, without abs
+            t_lo, t_hi = -tail_limit - ta, tail_limit - ta
+            h_lo, h_hi = -head_limit - ha, head_limit - ha
+            for db, tb, hb, xb, cb in right:
                 if db > room:
+                    break
+                if not (t_lo <= tb <= t_hi and h_lo <= hb <= h_hi):
                     continue
                 key = (da + db, tuple(map(add, xa, xb)))
                 prod = ca * cb
                 acc = out.get(key)
                 out[key] = prod if acc is None else acc + prod
-        result = TruncatedSeries(self.x_count, cap)
-        result.terms = {k: v for k, v in out.items() if v}
-        return result
+        return self._like({k: v for k, v in out.items() if v})
 
     # -- extraction ----------------------------------------------------------
 
     def degree_part(self, degree) -> "TruncatedSeries":
-        """The terms of q-degree ``degree``."""
-        result = TruncatedSeries(self.x_count, self.q_cap)
-        result.terms = {k: c for k, c in self.terms.items() if k[0] == degree}
-        return result
+        """The terms of q-degree ``degree``, bound as this series is."""
+        return self._like({k: c for k, c in self.terms.items() if k[0] == degree}, self.limits)
 
     def coefficient(self, degree, xexp) -> RadicalScalar | Fraction | int:
         """The coefficient of one term; int 0 when the series has none."""

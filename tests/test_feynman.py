@@ -132,6 +132,15 @@ def test_integral_argument_validation():
         feynman_integral(_theta(), (0, 2), (1, 0, 0))
 
 
+@pytest.mark.parametrize("a", [(2.7, 0, 0), (2.0, 0, 0), (Fraction(2), 0, 0), (True, 1, 0),
+                               ("2", 0, 0)])
+def test_integral_refuses_non_integer_multidegrees(a):
+    # a fractional entry is refused, not truncated to the value at (2, 0, 0)
+    for integral in (feynman_integral, direct_cover_sum):
+        with pytest.raises(TypeError):
+            integral(_theta(), (0, 1), a)
+
+
 def test_integrals_match_direct_enumeration():
     # the series product and the direct weighted-cover enumeration are
     # independent implementations; they must agree term by term
@@ -214,7 +223,8 @@ def _crossing_free_weights(graph, order, w):
     # c_w of each edge's integer factor, read off its q^0 x_tail^w x_head^-w term
     weights = []
     rank = feynman._ranks(graph, order)
-    for tail, head, factor, _, _ in feynman._factors(graph.edges, graph.degrees(), rank, w, True):
+    for factor in feynman._factors(graph.edges, graph.degrees(), rank, w, True):
+        tail, head = factor.limits[:2]
         xexp = [0] * graph.vertex_count
         xexp[tail], xexp[head] = w, -w
         weights.append(factor.coefficient(0, xexp))
@@ -235,11 +245,12 @@ def test_factor_limits_count_the_edge_ends_still_to_come():
     theta = _theta().graph  # three edges (0, 1)
     degrees = theta.degrees()
     steps = list(feynman._factors(theta.edges, degrees, (1, 0), 2, False))  # vertex 1 first
-    assert [(tail, head) for tail, head, *_ in steps] == [(1, 0)] * 3
-    assert [step[3:] for step in steps] == [(4, 4), (2, 2), (0, 0)]
+    # each factor is bound to (tail, head, tail limit, head limit)
+    assert [factor.limits[:2] for factor in steps] == [(1, 0)] * 3
+    assert [factor.limits[2:] for factor in steps] == [(4, 4), (2, 2), (0, 0)]
     # the shared edges are counted, not yielded
     shared = feynman._factors(theta.edges, degrees, (0, 1), 2, True, 2)
-    assert [step[3:] for step in shared] == [(0, 0)]
+    assert [factor.limits[2:] for factor in shared] == [(0, 0)]
 
 
 def _class_of(graph):
