@@ -42,7 +42,11 @@ from the one for g-2, so genus g reuses the work of genus g-1.  A sigma is
 finished (`count_for_sigma`) by looking each state's product up in the
 table of alpha sigma alpha^{-1}: the state adds its multiplicity once per
 matching alpha, and for connected counts only for the alphas with
-P v sigma v alpha transitive (all of them when P v sigma already is).
+P v sigma v alpha transitive (all of them when P v sigma already is),
+tested once per cycle partition of alpha, not once per alpha.  Permutations
+and partitions are bytes (p[i] the image of i, P[i] the least point of i's
+block): q.translate(p padded by the identity to 256 bytes) is p * q, a
+block merge is one bytes.replace, and P is one block iff it is bytes(n).
 
 Conjugating a whole tuple by beta in B_d gives another counted tuple: beta
 commutes with tau, so it maps B~_d, B_d and the admissible transpositions
@@ -50,8 +54,7 @@ commutes with tau, so it maps B~_d, B_d and the admissible transpositions
 both sides of the equation alike; and it relabels the points, which keeps
 transitivity.  The count for sigma therefore depends only on the B_d-orbit
 of sigma, and the total is the sum over orbit representatives of orbit size
-times the representative's count.  The whole count runs in one process:
-the representatives share one memoised layer.
+times the representative's count; the representatives share one layer.
 
 The orbits in closed form
 -------------------------
@@ -82,15 +85,14 @@ steps joining {i, j}, and sigma summed over the conjugacy classes of S_d:
 the class of cycle type lambda holds pi_lambda and d! / z_lambda elements
 (`_classes`).
 
-Searches are budgeted: a query whose projected tuple-tree size exceeds the
-budget raises BudgetExceeded instead of running for hours.  The projection
-is the size of the tuple tree a direct search would walk (sigmas times
-transposition sequences times alphas), not the smaller work of the dynamic
-program, and it comes from the closed-form sizes of those sets, so a
-refused query builds none of them.  The budget is the *budget* argument,
-10**9 nodes when it is omitted.
+Searches are budgeted: a query raises BudgetExceeded when the tuple tree a
+direct search would walk (sigmas times transposition sequences times
+alphas, not the smaller work of the dynamic program) exceeds *budget*,
+10**9 nodes when omitted; the sizes come from closed forms, so a refused
+query builds no table.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,6 +105,8 @@ DEFAULT_BUDGET = 10**9
 
 #: the one counting backend, stamped into each benchmark run record (perfbench)
 KERNEL_BACKEND = "python"
+
+_IDENTITY = bytes(range(256))  # slices give the kernel's identities and table pads
 
 
 class BudgetExceeded(RuntimeError):
@@ -147,19 +151,29 @@ def _result(total, norm):
 def _twisted_tables(d):
     """(etas, eta_taus, alphas, sigmas) for degree d, all sorted tuples."""
     tau = perms.pairing_involution(d)
-    etas = perms.admissible_transpositions(d)
+    etas = tuple(perms.admissible_transpositions(d))
     eta_taus = tuple(perms.conjugate(e, tau) for e in etas)
-    alphas = perms.hyperoctahedral_group(d)
-    sigmas = perms.twist_admissible_set(d)
+    alphas = tuple(perms.hyperoctahedral_group(d))
+    sigmas = tuple(perms.twist_admissible_set(d))
     return etas, eta_taus, alphas, sigmas
+
+
+@lru_cache(maxsize=None)
+def _group_bytes(group):
+    """Each permutation of *group* with its inverse and its cycle partition,
+    as bytes; permutations with the same cycles share one partition."""
+    interned, out = {}, []
+    for p in group:
+        cycles = _join(_IDENTITY[:len(p)], enumerate(p))
+        out.append((bytes(p), bytes(perms.inverse(p)), interned.setdefault(cycles, cycles)))
+    return tuple(out)
 
 
 def _alpha_lookup(sigma, alphas):
     """Map bytes(alpha sigma alpha^{-1}) -> list of alpha indices."""
-    table = {}
-    for ai, alpha in enumerate(alphas):
-        key = bytes(perms.conjugate(sigma, alpha))
-        table.setdefault(key, []).append(ai)
+    table, pad, sigma = {}, _IDENTITY[len(sigma):], bytes(sigma)
+    for ai, (alpha, inverse, _) in enumerate(_group_bytes(alphas)):
+        table.setdefault(inverse.translate(sigma.translate(alpha + pad) + pad), []).append(ai)
     return table
 
 
@@ -218,8 +232,17 @@ def _join(labels, pairs):
         if la != lb:
             if la > lb:
                 la, lb = lb, la
-            labels = tuple(la if x == lb else x for x in labels)
+            labels = labels.replace(_IDENTITY[lb:lb + 1], _IDENTITY[la:la + 1])
     return labels
+
+
+@lru_cache(maxsize=None)
+def _moves(etas, eta_taus):
+    """The `_layer` moves of one degree, built once per degree."""
+    return tuple(
+        (bytes(eta) + _IDENTITY[len(eta):], bytes(eta_t), (_support(eta), _support(eta_t)))
+        for eta, eta_t in zip(etas, eta_taus)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -227,20 +250,18 @@ def _layer(n, moves, depth):
     """{(left, right): {P: sequences}} over all sequences of *depth* moves.
 
     A move (step, right_step, pairs) multiplies the left factor by *step*
-    on the left and the right factor by *right_step* on the right, and
-    joins *pairs* in the partition P.  The product after the sequence is
-    left * sigma * right.
+    (a translate table) on the left and the right factor by *right_step*
+    on the right, and joins *pairs* in the partition P.  The product after
+    the sequence is left * sigma * right.
     """
-    ident = tuple(range(n))
+    ident = _IDENTITY[:n]
     if depth == 0:
         return {(ident, ident): {ident: 1}}
-    out = {}
-    joined = {}
+    out, joined = {}, {}
     for (left, right), parts in _layer(n, moves, depth - 1).items():
+        right_table = right + _IDENTITY[n:]
         for k, (step, right_step, pairs) in enumerate(moves):
-            bucket = out.setdefault(
-                (tuple([step[x] for x in left]), tuple([right[x] for x in right_step])), {}
-            )
+            bucket = out.setdefault((left.translate(step), right_step.translate(right_table)), {})
             for part, mult in parts.items():
                 nxt = joined.get((part, k))
                 if nxt is None:
@@ -250,16 +271,18 @@ def _layer(n, moves, depth):
 
 
 def _finish(layer, sigma, alphas, lookup, connected):
-    """Tuples completing *sigma*, summed over the states of *layer*.
-
-    A partition is one block (the group acts transitively) exactly when
-    every point carries the label 0.
-    """
+    """Tuples completing *sigma*, summed over the states of *layer*."""
+    one_block, pad = bytes(len(sigma)), _IDENTITY[len(sigma):]
+    sigma_table = bytes(sigma) + pad
     total = 0
+    if connected:  # the alphas matching each product, counted by cycle partition
+        cycles = _group_bytes(alphas)
+        lookup = {key: Counter(cycles[ai][2] for ai in cand) for key, cand in lookup.items()}
     with_sigma = {}  # P -> P v sigma
-    spans = {}  # (P v sigma, alpha index) -> is P v sigma v alpha one block?
+    spans = {}  # (P v sigma, alpha cycle partition) -> is P v sigma v alpha one block?
     for (left, right), parts in layer.items():
-        cand = lookup.get(bytes([left[sigma[x]] for x in right]))
+        product = right.translate(sigma_table).translate(left + pad)
+        cand = lookup.get(product)
         if not cand:
             continue
         if not connected:
@@ -269,22 +292,22 @@ def _finish(layer, sigma, alphas, lookup, connected):
             base = with_sigma.get(part)
             if base is None:
                 base = with_sigma[part] = _join(part, enumerate(sigma))
-            if not any(base):
-                total += mult * len(cand)
+            if base == one_block:
+                total += mult * cand.total()
                 continue
-            for ai in cand:
-                hit = spans.get((base, ai))
+            for alpha_part, size in cand.items():
+                hit = spans.get((base, alpha_part))
                 if hit is None:
-                    hit = spans[base, ai] = not any(_join(base, enumerate(alphas[ai])))
+                    hit = spans[base, alpha_part] = _join(base, enumerate(alpha_part)) == one_block
                 if hit:
-                    total += mult
+                    total += mult * size
     return total
 
 
 def count_for_sigma(sigma, etas, eta_taus, alphas, lookup, depth, connected):
     """Number of (eta_1..eta_depth, alpha) completions for this sigma.
 
-    sigma, etas[e], eta_taus[e], alphas[a]: permutations as int sequences.
+    sigma, etas[e], eta_taus[e], alphas[a]: permutations as int tuples.
     lookup: dict  bytes(alpha sigma alpha^{-1}) -> list of indices into alphas.
     depth: number of transposition slots (g - 1; may be 0).
     connected: require the tuple's group to act transitively.
@@ -292,11 +315,8 @@ def count_for_sigma(sigma, etas, eta_taus, alphas, lookup, depth, connected):
     The sequences come from the memoised layer of transposition products
     (see the module docstring), which every sigma of the degree shares.
     """
-    moves = tuple(
-        (tuple(eta), tuple(eta_t), (_support(eta), _support(eta_t)))
-        for eta, eta_t in zip(etas, eta_taus)
-    )
-    return _finish(_layer(len(sigma), moves, depth), sigma, alphas, lookup, connected)
+    layer = _layer(len(sigma), _moves(etas, eta_taus), depth)
+    return _finish(layer, sigma, alphas, lookup, connected)
 
 
 def count_twisted(d, g, connected=True, budget=None, threads=1):
@@ -354,7 +374,7 @@ def enumerate_twisted_tuples(d, g, connected=True, budget=None):
 
 @lru_cache(maxsize=None)
 def _classical_tables(d):
-    group = perms.symmetric_group(d)
+    group = tuple(perms.symmetric_group(d))
     swaps = tuple(
         perms.transposition(d, i, j) for i in range(d) for j in range(i + 1, d)
     )
@@ -365,8 +385,7 @@ def count_classical(d, g, connected=True, budget=None):
     """Torus cover count: (sigma, tau_1..tau_{2g-2}, alpha) tuples over d!."""
     _admit(d, g, budget, _classical_projected)
     group, swaps = _classical_tables(d)
-    ident = tuple(range(d))
-    moves = tuple((s, ident, (_support(s),)) for s in swaps)
+    moves = tuple((bytes(s) + _IDENTITY[d:], _IDENTITY[:d], (_support(s),)) for s in swaps)
     layer = _layer(d, moves, 2 * g - 2)
     total = sum(
         size * _finish(layer, pi, group, _alpha_lookup(pi, group), connected)

@@ -11,9 +11,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twisted_hurwitz import factorizations, perms
-from twisted_hurwitz.fock import partitions
+from twisted_hurwitz.feynman import generating_series_coefficient
+from twisted_hurwitz.fock import elliptic_disconnected, partitions
+from twisted_hurwitz.tropical import count_tropical
 from twisted_hurwitz.factorizations import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -198,6 +201,66 @@ def test_connected_and_disconnected_share_one_layer():
     misses = factorizations._layer.cache_info().misses
     count_twisted(3, 4, connected=False)
     assert factorizations._layer.cache_info().misses == misses
+
+
+def test_per_degree_data_is_built_once():
+    # the tables are tuples, so the moves and the alphas' bytes are cached by
+    # value: every sigma of a degree, and every later query, reuses them
+    tables = _twisted_tables(3)
+    assert all(type(table) is tuple for table in tables)
+    count_twisted(3, 3)
+    moves = factorizations._moves.cache_info().misses
+    group = factorizations._group_bytes.cache_info().misses
+    count_twisted(3, 4)
+    count_twisted(3, 5, connected=False)
+    assert factorizations._moves.cache_info().misses == moves
+    assert factorizations._group_bytes.cache_info().misses == group
+
+
+def test_frontier_values_agree_with_a_second_pipeline():
+    # each oracle is an independent pipeline, run here beside the pinned value
+    assert count_twisted(5, 3, budget=10**10).value == 1360 == count_tropical(5, 3)
+    # oracle: the graph sum, which CI also checks at (4, 6)
+    assert count_twisted(4, 6, budget=10**12).value == 7558784
+    assert generating_series_coefficient(4, 6) == 7558784
+    disconnected = count_twisted(5, 5, connected=False, budget=10**13).value
+    assert disconnected == 2980384 == elliptic_disconnected(5, 5)
+
+
+def _union_find_labels(n, pairs):
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[root(a)] = root(b)
+    least = {}
+    for x in range(n):
+        least.setdefault(root(x), x)
+    return bytes(least[root(x)] for x in range(n))
+
+
+@st.composite
+def point_pairs(draw):
+    n = draw(st.integers(1, 12))
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=16))
+
+
+@given(point_pairs())
+def test_join_matches_union_find(case):
+    # the bytes labels give the union-find partition, each block labelled by
+    # its least point, so one block is exactly bytes(n)
+    n, pairs = case
+    join = factorizations._join
+    labels = join(bytes(range(n)), pairs)
+    assert labels == _union_find_labels(n, pairs)
+    half = len(pairs) // 2
+    assert join(join(bytes(range(n)), pairs[:half]), pairs[half:]) == labels
+    assert (labels == bytes(n)) == (len(set(labels)) == 1)
 
 
 # -- equivariance --------------------------------------------------------------
