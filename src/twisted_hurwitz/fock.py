@@ -17,6 +17,14 @@ The vertex operator is
               + 1/2 * sum_{i,j>0} (alpha_{-j} alpha_{-i} alpha_{i+j}
                                    + alpha_{-(i+j)} alpha_i alpha_j) ).
 
+M is self-adjoint: the adjoint reverses products and sends alpha_n to
+alpha_{-n}, so it fixes alpha_{-k} alpha_k and swaps each cut term
+alpha_{-j} alpha_{-i} alpha_{i+j} with the join term alpha_{-(i+j)} alpha_i
+alpha_j (z is a real bookkeeping variable).  Hence <b_mu|M^p|b_nu> =
+<M^a b_mu | M^(p-a) b_nu> for every 0 <= a <= p.  matrix_element takes
+a = ceil(p/2); when mu = nu the M^floor(p/2) vector is a link of the same
+chain, so ceil(p/2) applications of M replace p.
+
 The disconnected twisted double number with profiles mu, nu and g-1 branch
 points is
 
@@ -43,6 +51,7 @@ the prefactor sum and the final divisions.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -247,13 +256,38 @@ def inner_product(u, v):
     return out
 
 
+@lru_cache(maxsize=None)
+def _transitions(mu):
+    """M b_mu as (nu, factor, shift) triples: M b_mu = sum factor * z^shift * b_nu."""
+    out = Counter()  # (nu, shift) -> integer factor
+    for k in set(mu):
+        rest = list(mu)
+        rest.remove(k)
+        lowered = k * mu.count(k)  # alpha_k b_mu = lowered * b_rest
+        # 2 z (k-1) alpha_{-k} alpha_k
+        if k > 1:
+            out[mu, 1] += 2 * (k - 1) * lowered
+        # sum over ordered pairs i,j>0 (the operator's 2 * 1/2 prefactor
+        # cancels against unordering): alpha_{-j} alpha_{-i} alpha_{i+j}
+        # (cut a part into two)
+        for i in range(1, k):
+            out[tuple(sorted(rest + [i, k - i], reverse=True)), 0] += lowered
+        # alpha_{-(i+j)} alpha_i alpha_j  (join two parts)
+        for i in set(rest):
+            joined = list(rest)
+            joined.remove(i)
+            nu = tuple(sorted(joined + [i + k], reverse=True))
+            out[nu, 0] += lowered * i * rest.count(i)
+    return tuple((nu, factor, shift) for (nu, shift), factor in out.items())
+
+
 def apply_m(v, energy_cap):
     """One application of the vertex operator M (energy-preserving).
 
     energy_cap bounds the partition sizes that may appear; since M preserves
     the energy grading this is a precondition check, not a truncation.
-    Every term sends b_mu to an integer multiple of one basis vector; the
-    terms are summed into one dict and the vector is built once.
+    M b_mu is read from _transitions, built once per partition, and the
+    terms of v are summed into one dict before the vector is built.
     """
     for mu in v.terms:
         if sum(mu) > energy_cap:
@@ -261,44 +295,35 @@ def apply_m(v, energy_cap):
                 "vector has energy %d above cap %d" % (sum(mu), energy_cap)
             )
     out = {}  # partition -> {z exponent: coefficient}
-
-    def add(nu, factor, shift, poly):
-        acc = out.setdefault(nu, {})
-        for e, c in poly.coeffs.items():
-            acc[e + shift] = acc.get(e + shift, 0) + factor * c
-
     for mu, poly in v.terms.items():
-        for k in set(mu):
-            rest = list(mu)
-            rest.remove(k)
-            lowered = k * mu.count(k)  # alpha_k b_mu = lowered * b_rest
-            # 2 z (k-1) alpha_{-k} alpha_k
-            if k > 1:
-                add(mu, 2 * (k - 1) * lowered, 1, poly)
-            # sum over ordered pairs i,j>0 (the operator's 2 * 1/2 prefactor
-            # cancels against unordering): alpha_{-j} alpha_{-i} alpha_{i+j}
-            # (cut a part into two)
-            for i in range(1, k):
-                add(tuple(sorted(rest + [i, k - i], reverse=True)), lowered, 0, poly)
-            # alpha_{-(i+j)} alpha_i alpha_j  (join two parts)
-            for i in set(rest):
-                joined = list(rest)
-                joined.remove(i)
-                nu = tuple(sorted(joined + [i + k], reverse=True))
-                add(nu, lowered * i * rest.count(i), 0, poly)
+        coeffs = poly.coeffs.items()
+        for nu, factor, shift in _transitions(mu):
+            acc = out.setdefault(nu, {})
+            for e, c in coeffs:
+                acc[e + shift] = acc.get(e + shift, 0) + factor * c
     return FockVector({mu: ZPoly(coeffs) for mu, coeffs in out.items()})
 
 
 def matrix_element(mu, nu, power):
-    """<b_mu | M^power | b_nu> as a ZPoly (zero when sizes differ)."""
+    """<b_mu | M^power | b_nu> as a ZPoly (zero when sizes differ), split
+    by self-adjointness as the module docstring derives."""
     mu, nu = check_partition(mu), check_partition(nu)
+    if power < 0:
+        raise ValueError("power must be >= 0, got %r" % (power,))
     if sum(mu) != sum(nu):
         return ZPoly()
     cap = sum(nu)
-    vec = FockVector.basis(nu)
-    for _ in range(power):
-        vec = apply_m(vec, cap)
-    return inner_product(FockVector.basis(mu), vec)
+    half = power // 2
+    chain = [FockVector.basis(mu)]
+    for _ in range(power - half):
+        chain.append(apply_m(chain[-1], cap))
+    if mu == nu:
+        right = chain[half]
+    else:
+        right = FockVector.basis(nu)
+        for _ in range(half):
+            right = apply_m(right, cap)
+    return inner_product(chain[-1], right)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,24 @@ def test_vertex_operator_small_values():
         apply_m(b((3,)), 2)
 
 
+def _m_from_ladders(v, n):
+    # the module docstring's M, term by term from apply_alpha (energy n)
+    out = FockVector.zero()
+    for k in range(2, n + 1):
+        diagonal = apply_alpha(-k, apply_alpha(k, v))
+        out = out + diagonal.scale(ZPoly({1: 2 * (k - 1)}))
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            out = out + apply_alpha(-j, apply_alpha(-i, apply_alpha(i + j, v)))
+            out = out + apply_alpha(-(i + j), apply_alpha(i, apply_alpha(j, v)))
+    return out
+
+
+def test_vertex_operator_matches_ladder_assembly():
+    for mu in BASIS:
+        assert apply_m(b(mu), sum(mu)) == _m_from_ladders(b(mu), sum(mu)), mu
+
+
 def test_matrix_element_values():
     assert matrix_element((2,), (2,), 0) == 2
     assert matrix_element((2,), (1, 1), 1) == 4
@@ -113,6 +131,22 @@ def test_matrix_element_values():
     assert matrix_element((2,), (2,), 2) == ZPoly({2: Fraction(32), 0: Fraction(8)})
     assert matrix_element((1, 1), (1, 1), 2) == 8
     assert matrix_element((2, 1), (3,), 1) == 12
+
+
+def test_matrix_element_rejects_negative_power():
+    with pytest.raises(ValueError, match="power"):
+        matrix_element((2,), (2,), -1)
+
+
+def test_matrix_element_matches_plain_chain():
+    # the self-adjoint split against p applications of M to b_nu
+    for n in range(6):
+        for mu, nu in itertools.product(partitions(n), repeat=2):
+            vec = b(nu)
+            for power in range(6):
+                assert matrix_element(mu, nu, power) == inner_product(b(mu), vec), (
+                    mu, nu, power)
+                vec = apply_m(vec, n)
 
 
 def test_matrix_elements_have_int_coefficients():
@@ -186,6 +220,25 @@ def test_elliptic_assemblies_agree():
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_elliptic_matches_symmetric_group_pipeline(d, g):
     assert elliptic_disconnected(d, g) == count_twisted(d, g, connected=False).value
+
+
+def _content_sum(d, g):
+    # b = 1 (zonal) case of the b-Hurwitz numbers: the elliptic count is the
+    # trace of the (g-1)-th power of M rescaled as the prefactor sum reads it,
+    # and that operator is diagonal on the zonal polynomials with eigenvalue
+    # 2 * c2(lambda), c2 the 2-content sum (Stanley, Adv. Math. 1989)
+    total = 0
+    for lam in partitions(d):
+        c2 = sum(2 * j - i for i, row in enumerate(lam) for j in range(row))
+        total += (2 * c2) ** (g - 1)
+    return total
+
+
+def test_elliptic_matches_content_sum():
+    for d in range(1, 9):
+        for g in range(1, 7):
+            assert elliptic_disconnected(d, g) == _content_sum(d, g), (d, g)
+    assert elliptic_disconnected(14, 6) == _content_sum(14, 6) == 14626914197376
 
 
 def test_frozen_disconnected_values():
