@@ -50,22 +50,26 @@ Each twisted cover pi is counted with multiplicity
             * prod_{quotient edges} w(e).
 
 Only 1/|Aut(pi)| depends on the lift, so the count runs quotient by
-quotient: it computes the quotient's weight prod(omega_v - 1) * prod w(e)
-once and drops the quotient when the weight is 0 (a weight-1 two-valent
-vertex).  The lifts are classified once per graph.  G has order
-2^{#doubled} * prod m!(q), m running over the groups of equal decorated
-edges of the quotient q, so summed over q's connected orbits O
+quotient, graph by graph.  A quotient with a weight-1 two-valent vertex
+weighs 0, and both germs of a two-valent vertex carry its weight, so the
+count's flow pass refuses weight 1 on every edge at a two-valent position
+and never builds such a quotient or its crossings.  Each quotient that is
+built adds its weight prod(omega_v - 1) * prod w(e) over prod m!(q).  G
+has order 2^{#doubled} * prod m!(q), m running over the groups of equal
+decorated edges of the quotient q, so summed over q's connected orbits O
 
     sum 1/|Aut| = sum_O |O| / (|G| 2^{cp}) = N / (2^{#doubled} prod m!(q)),
 
 N summing 2^{-cp} over the connected sign vectors.  The doubled positions,
 the e33 edges and each sign vector's lift as an undirected graph, hence
 its connectivity and cp, depend only on which positions each edge joins.
-So prod m!(q) * sum 1/|Aut| = N / 2^{#doubled} is one number per
-undirected edge multiset: count_tropical classifies the lifts of the
-first quotient of each graph, and every quotient adds its weight / prod
-m!(q) times that number.  enumerate_quotient_covers classifies every
-quotient; it is the export and the reference.
+So prod m!(q) * sum 1/|Aut| = N / 2^{#doubled} is one number per labelled
+graph, whatever the decoration and whatever d: count_tropical reads it
+from the lifts of the graph's own edges, each taken as (u, v, 0, 1),
+classified once per graph per process, and multiplies each graph's sum by
+it.  enumerate_quotient_covers decorates without the cut, drops the
+weight-0 quotients afterwards and classifies every quotient; it is the
+export and the unpruned reference.
 
 The closed quotient-side formulas — the lift sum sum(1/|Aut(pi)|) =
 (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|), and the quotient
@@ -86,7 +90,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import prod
 from operator import xor
@@ -150,10 +154,11 @@ def _enumerate_multisets(d, g):
     return sorted(results)
 
 
-def _decorations(pairs, s, d):
+def _decorations(pairs, s, d, counted=False):
     """Edge multisets (i, j, k, w) over the sorted edge pairs `pairs` with
     sum of w*k equal to d, balanced at every position: balanced flow first,
-    crossings after.
+    crossings after.  With `counted`, only those of nonzero weight: an edge
+    at a two-valent position takes w >= 2.
 
     The flow pass gives each edge an orientation and a weight w <= d.  A
     position's balance is checked as soon as its last incident edge is
@@ -171,6 +176,12 @@ def _decorations(pairs, s, d):
     for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items():
         closes[n].append(v)
     parallel = [n > 0 and pairs[n - 1] == pairs[n] for n in range(m)]
+    # the least weight of each edge: 2 at a two-valent position when counted
+    valences = [0] * s
+    for u, v in pairs:
+        valences[u] += 1
+        valences[v] += 1
+    lightest = [2 if counted and 2 in (valences[u], valences[v]) else 1 for u, v in pairs]
     net = [0] * s  # outgoing minus incoming germ weight
     flow = []  # (i, j, w, least k) per edge
     chosen = []
@@ -185,9 +196,11 @@ def _decorations(pairs, s, d):
             # the edge that closes x leaves x when more weight enters x
             x = closes[n][0]
             w = net[x]
-            choices = [(x, u + v - x, -w) if w < 0 else (u + v - x, x, w)] if w else []
+            if abs(w) < lightest[n]:
+                return
+            choices = [(x, u + v - x, -w) if w < 0 else (u + v - x, x, w)]
         else:
-            choices = [(i, j, w) for i, j in {(u, v), (v, u)} for w in range(1, d + 1)]
+            choices = [(i, j, w) for i, j in {(u, v), (v, u)} for w in range(lightest[n], d + 1)]
         for i, j, w in choices:
             least = int(i >= j)
             if w > d or back + w * least > d or parallel[n] and (i, j) < flow[-1][:2]:
@@ -414,12 +427,16 @@ def quotient_multiplicity(edges, g) -> Fraction:
     return 2 ** (g - 1) * _weight(edges, shape, g) * _closed_lift_sum(edges, shape)
 
 
-def _weighted_quotients(d, g):
-    """(edges, _weight) for each quotient of nonzero weight, edges ascending."""
+def _check_point(d, g):
     if d < 1:
         raise ValueError("degree must be >= 1")
     if g < 2:
         raise ValueError("the tropical pipeline needs g >= 2 (one branch point)")
+
+
+def _weighted_quotients(d, g):
+    """(edges, _weight) for each quotient of nonzero weight, edges ascending."""
+    _check_point(d, g)
     for edges in _enumerate_multisets(d, g):
         weight = _weight(edges, _shape(edges, g - 1), g)
         if weight:
@@ -436,19 +453,32 @@ def enumerate_quotient_covers(d: int, g: int) -> list:
     ]
 
 
+@lru_cache(maxsize=None)
+def _lift_factor(pairs, s):
+    """prod m!(q) * sum 1/|Aut| over the lift classes of any quotient q on
+    the sorted undirected edge pairs `pairs` (module docstring), read from
+    the lifts of the pairs themselves, each taken as the edge (u, v, 0, 1)."""
+    edges = tuple((u, v, 0, 1) for u, v in pairs)
+    classes = lift_classes(edges, s)[0]
+    return multiset_automorphisms(edges) * sum(Fraction(1, aut) for _signs, aut in classes)
+
+
 def count_tropical(d: int, g: int) -> Fraction:
-    """Degree-d genus-g twisted count via the tropical pipeline: each
-    quotient's weight times its sum of 1/|Aut| over the lift classes, that
-    sum read from its graph's prod m! * sum 1/|Aut| (module docstring)."""
-    per_graph = {}  # undirected edge multiset -> prod m! * sum 1/|Aut|
+    """Degree-d genus-g twisted count via the tropical pipeline: over each
+    labelled graph, the sum of its nonzero-weight quotients' weight / prod
+    m!, times the graph's prod m! * sum 1/|Aut| (module docstring)."""
+    _check_point(d, g)
+    s = g - 1
     total = Fraction(0)
-    for edges, weight in _weighted_quotients(d, g):
-        graph = tuple(sorted((min(i, j), max(i, j)) for i, j, _k, _w in edges))
-        m = multiset_automorphisms(edges)
-        if graph not in per_graph:
-            classes = lift_classes(edges, g - 1)[0]
-            per_graph[graph] = m * sum(Fraction(1, aut) for _signs, aut in classes)
-        total += Fraction(weight, m) * per_graph[graph]
+    for t, c in vertex_profiles(g):
+        for graph in labelled_graphs(t, c, allow_loops=g == 2):
+            quotients = _decorations(graph.edges, s, d, counted=True)
+            if quotients:
+                weights = sum(
+                    Fraction(_weight(q, _shape(q, s), g), multiset_automorphisms(q))
+                    for q in quotients
+                )
+                total += weights * _lift_factor(graph.edges, s)
     return 2 ** (g - 1) * total
 
 

@@ -11,6 +11,7 @@ import pytest
 from twisted_hurwitz import tropical
 from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.graphs import (
+    FeynmanGraph,
     connected,
     labelled_graphs,
     multiset_automorphisms,
@@ -130,6 +131,26 @@ def test_decorations_match_brute_force():
     assert checked == 20  # of the 24 (graph, d) pairs
 
 
+def test_counted_decorations_are_the_nonzero_weight_ones():
+    # the count's cut (w >= 2 at a two-valent position) drops exactly the
+    # quotients of weight 0, on the grid of the brute-force test above
+    dropped = 0
+    for g, d_max in ((2, 4), (3, 4), (4, 3)):
+        for d in range(1, d_max + 1):
+            for t, c in vertex_profiles(g):
+                for graph in labelled_graphs(t, c, allow_loops=g == 2):
+                    raw = tropical._decorations(graph.edges, g - 1, d)
+                    counted = tropical._decorations(graph.edges, g - 1, d, counted=True)
+                    brute = _brute_decorations(graph.edges, g - 1, d)
+                    weighs = [tropical._weight(q, tropical._shape(q, g - 1), g) > 0 for q in brute]
+                    kept = [q for q, w in zip(brute, weighs) if w]
+                    assert sorted(counted) == kept, (graph, d)
+                    zero = [q for q, w in zip(brute, weighs) if not w]
+                    assert sorted(set(raw) - set(counted)) == zero, (graph, d)
+                    dropped += len(raw) - len(counted)
+    assert dropped == 46  # zero-weight quotients the count never builds
+
+
 def test_degree4_genus6_count():
     # symgroup (connected, with a raised budget) and the graph sum give it too
     assert count_tropical(4, 6) == 7558784
@@ -171,6 +192,7 @@ def test_count_classifies_lifts_once_per_graph(monkeypatch):
         return real(edges, s)
 
     monkeypatch.setattr(tropical, "lift_classes", counting)
+    tropical._lift_factor.cache_clear()
     assert count_tropical(4, 4) == 11456
     # 38 weighted quotients on 4 graphs
     assert sorted(calls.values()) == [1, 1, 1, 1]
@@ -189,6 +211,9 @@ def test_lift_sum_times_prod_m_factorial_is_a_graph_invariant():
             per_graph[_graph(edges)].add(m * sum(Fraction(1, aut) for _signs, aut in classes))
             factorials[_graph(edges)].add(m)
         assert all(len(values) == 1 for values in per_graph.values()), (d, g)
+        # the count reads the value off the graph's own edges, each (u, v, 0, 1)
+        for graph, (value,) in per_graph.items():
+            assert value == tropical._lift_factor(graph, g - 1), (d, g, graph)
         split += sum(len(ms) > 1 for ms in factorials.values())
     assert split == 5  # graphs whose quotients differ in prod m!
 
@@ -207,7 +232,9 @@ def test_genus2_closed_form():
 def test_count_checks_the_structural_genus(monkeypatch):
     # two loops make a 4-valent position, where 2g' = g - c + 1 fails
     monkeypatch.setattr(
-        tropical, "_enumerate_multisets", lambda d, g: [((0, 0, 1, 1), (0, 0, 1, 1))]
+        tropical,
+        "labelled_graphs",
+        lambda *_args, **_kwargs: [FeynmanGraph(1, ((0, 0), (0, 0)))],
     )
     with pytest.raises(ValueError, match="structural genus"):
         count_tropical(2, 2)
