@@ -16,9 +16,13 @@ computes connected counts, disconnected counts or both; the first
 connectivity listed is ``compute``'s default.  ``compute`` refuses a query
 outside its method's domain, and ``validate`` leaves such a cell ``-``.
 
+``compute`` answers uncached, with a warning, when its cache file cannot
+be read or appended to.
+
 Exit codes: 0 success, 2 incompatible parameters (or, from argparse, a
 malformed argument such as ``--budget abc``), 3 step budget exceeded,
-4 unwritable export path.
+4 unwritable export path, or a cache file that ``cache show|clear``
+cannot use.
 """
 
 from __future__ import annotations
@@ -104,37 +108,39 @@ def _compute_value(method, d, g, connected, budget):
     raise ValueError("unknown method %r" % (method,))
 
 
-def _emit(record: RunRecord, fmt: str, out) -> None:
+def _emit(record: RunRecord, fmt: str) -> None:
     data = record.as_dict()
     if fmt == "json":
-        print(json.dumps(data, sort_keys=False), file=out)
+        print(json.dumps(data, sort_keys=False))
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(data))
         writer.writeheader()
         writer.writerow(data)
-        out.write(buffer.getvalue())
+        sys.stdout.write(buffer.getvalue())
     else:
-        print(record.value, file=out)
+        print(record.value)
         print(
             " ".join(
                 "%s=%s" % (k, str(v).lower() if isinstance(v, bool) else v)
                 for k, v in data.items()
                 if k not in ("numerator", "denominator") and v != ""
-            ),
-            file=out,
+            )
         )
 
 
-def cmd_compute(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def _unusable(cache: ResultCache, exc: OSError) -> str:
+    """One line naming the cache file and the OS error that makes it unusable."""
+    return "cache file %s unusable: %s" % (cache.path, exc.strerror or exc)
+
+
+def cmd_compute(args) -> int:
     connected = args.connected
     if connected is None:
         connected = DOMAINS[args.method][1][0]
     reason = _incompatibility(args.method, args.degree, args.genus, connected)
     if reason:
-        print("incompatible parameters: %s" % reason, file=err)
+        print("incompatible parameters: %s" % reason, file=sys.stderr)
         return EXIT_INCOMPATIBLE
 
     cache = ResultCache(args.cache_file)
@@ -146,11 +152,15 @@ def cmd_compute(args, out=None, err=None) -> int:
         "tool_version": __version__,
         "normalization_reading": normalization_reading() if args.method == "feynman" else "",
     }
-    hit = cache.lookup(key)
+    try:
+        hit = cache.lookup(key)
+    except OSError as exc:
+        warnings.warn("%s; answering uncached" % _unusable(cache, exc))
+        cache = hit = None
     if hit is not None:
         cached = _replayable(hit)
         if cached is not None:
-            _emit(cached, args.format, out)
+            _emit(cached, args.format)
             return EXIT_OK
         warnings.warn("ignoring damaged cache record in %s; recomputing" % cache.path)
 
@@ -158,24 +168,26 @@ def cmd_compute(args, out=None, err=None) -> int:
     try:
         value = _compute_value(args.method, args.degree, args.genus, connected, args.budget)
     except BudgetExceeded as exc:
-        print("step budget exceeded: %s" % exc, file=err)
+        print("step budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     wall_ms = int(round((time.perf_counter() - start) * 1000))
 
     record = RunRecord(numerator=str(value.numerator), denominator=str(value.denominator),
                        wall_time_ms=wall_ms, **key)
-    cache.store(record.as_dict())
-    _emit(record, args.format, out)
+    if cache is not None:
+        try:
+            cache.store(record.as_dict())
+        except OSError as exc:
+            warnings.warn("%s; the result is not stored" % _unusable(cache, exc))
+    _emit(record, args.format)
     return EXIT_OK
 
 
-def cmd_validate(args, out=None, err=None) -> int:
+def cmd_validate(args) -> int:
     """Cross-method value matrix with PASS/FAIL per identity."""
-    out = out or sys.stdout
-    err = err or sys.stderr
     for bound, name in ((args.d_max, "degree d"), (args.g_max, "genus g")):
         if bound < 1:
-            print("incompatible parameters: validate needs %s >= 1" % name, file=err)
+            print("incompatible parameters: validate needs %s >= 1" % name, file=sys.stderr)
             return EXIT_INCOMPATIBLE
     failures = 0
     skips = 0
@@ -207,20 +219,18 @@ def cmd_validate(args, out=None, err=None) -> int:
                 else:
                     verdicts.append("%s:FAIL" % identity)
                     failures += 1
-            print("  ".join(cells) + "  |  " + (" ".join(verdicts) or "-"), file=out)
+            print("  ".join(cells) + "  |  " + (" ".join(verdicts) or "-"))
     summary = "validate: %s" % ("all identities PASS" if failures == 0 else "%d FAIL" % failures)
     if skips:
         summary += " (%d budget SKIPs)" % skips
-    print(summary, file=out)
+    print(summary)
     return EXIT_OK if failures == 0 else 1
 
 
-def cmd_export_covers(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_export_covers(args) -> int:
     reason = _incompatibility("tropical", args.degree, args.genus, True)
     if reason:
-        print("incompatible parameters: %s" % reason, file=err)
+        print("incompatible parameters: %s" % reason, file=sys.stderr)
         return EXIT_INCOMPATIBLE
     covers = enumerate_quotient_covers(args.degree, args.genus)
     target = Path(args.out)
@@ -234,23 +244,28 @@ def cmd_export_covers(args, out=None, err=None) -> int:
                 path = target / ("cover_%03d.dot" % i)
                 path.write_text(cover_to_dot(cover, name="cover_%03d" % i), encoding="utf-8")
     except OSError as exc:
-        print("cannot write %s: %s" % (target, exc), file=err)
+        print("cannot write %s: %s" % (target, exc), file=sys.stderr)
         return EXIT_UNWRITABLE
-    print("%d covers at d=%d g=%d -> %s" % (len(covers), args.degree, args.genus, target), file=out)
+    print("%d covers at d=%d g=%d -> %s" % (len(covers), args.degree, args.genus, target))
     return EXIT_OK
 
 
-def cmd_cache(args, out=None, err=None) -> int:
-    out = out or sys.stdout
+def cmd_cache(args) -> int:
     cache = ResultCache(args.cache_file)
+    try:
+        if args.action == "clear":
+            cache.clear()
+        else:
+            entries = cache.entries()
+    except OSError as exc:
+        print(_unusable(cache, exc), file=sys.stderr)
+        return EXIT_UNWRITABLE
     if args.action == "clear":
-        cache.clear()
-        print("cache cleared: %s" % cache.path, file=out)
+        print("cache cleared: %s" % cache.path)
         return EXIT_OK
-    entries = cache.entries()
-    print("%d cached results in %s" % (len(entries), cache.path), file=out)
+    print("%d cached results in %s" % (len(entries), cache.path))
     for record in entries:
-        print(json.dumps(record, sort_keys=False), file=out)
+        print(json.dumps(record, sort_keys=False))
     return EXIT_OK
 
 

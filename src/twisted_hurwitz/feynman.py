@@ -500,12 +500,12 @@ def _assemble(d: int, g: int) -> Fraction:
     return total * 2 ** (g - 1)
 
 
-def calibrate_normalization(anchors=ANCHOR_POINTS) -> str:
+def calibrate_normalization() -> str:
     """Check the derived prefactor against the symmetric-group count at
-    the anchor (d, g) and return its label; raise CalibrationError on a
+    each (d, g) of ANCHOR_POINTS and return its label; raise CalibrationError on a
     mismatch.  No query runs this check."""
     mismatches = []
-    for d, g in anchors:
+    for d, g in ANCHOR_POINTS:
         value = _assemble(d, g)
         target = count_twisted(d, g, connected=True).value
         if value != target:

@@ -54,6 +54,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod as parts_product  # product of a partition's parts
 
 from .graphs import multiset_automorphisms as aut_count  # |Aut(mu)|
 
@@ -87,13 +88,6 @@ def check_partition(mu):
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError("partition must be weakly decreasing: %r" % (mu,))
     return mu
-
-
-def parts_product(mu):
-    out = 1
-    for p in mu:
-        out *= p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -240,21 +240,3 @@ def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = Fal
             rep = FeynmanGraph(len(target), canon)
             found[canon] = GraphClass(rep, automorphism_count(rep))
     return [found[c] for c in sorted(found)]
-
-
-def to_dot(graph: FeynmanGraph, edge_labels=None, title="graph") -> str:
-    """DOT rendering with vertex labels x1..xs and edge labels q1..qr.
-
-    edge_labels, if given, maps edge index -> extra annotation appended to
-    the q-label (used for weight/crossing decorations on covers).
-    """
-    lines = ["graph %s {" % title]
-    for v in range(graph.vertex_count):
-        lines.append('  v%d [label="x%d"];' % (v, v + 1))
-    for idx, (u, v) in enumerate(graph.edges):
-        label = "q%d" % (idx + 1)
-        if edge_labels and idx in edge_labels:
-            label += " " + edge_labels[idx]
-        lines.append('  v%d -- v%d [label="%s"];' % (u, v, label))
-    lines.append("}")
-    return "\n".join(lines)

@@ -434,21 +434,14 @@ def _check_point(d, g):
         raise ValueError("the tropical pipeline needs g >= 2 (one branch point)")
 
 
-def _weighted_quotients(d, g):
-    """(edges, _weight) for each quotient of nonzero weight, edges ascending."""
-    _check_point(d, g)
-    for edges in _enumerate_multisets(d, g):
-        weight = _weight(edges, _shape(edges, g - 1), g)
-        if weight:
-            yield edges, weight
-
-
 def enumerate_quotient_covers(d: int, g: int) -> list:
     """All twisted covers (quotient + lift class) of degree d, genus g,
     with nonzero multiplicity, sorted by (edges, lift)."""
+    _check_point(d, g)
     return [
         QuotientCover(d=d, g=g, edges=edges, lift=signs, lift_automorphisms=aut)
-        for edges, _ in _weighted_quotients(d, g)
+        for edges in _enumerate_multisets(d, g)
+        if _weight(edges, _shape(edges, g - 1), g)
         for signs, aut in lift_classes(edges, g - 1)[0]
     ]
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -419,6 +420,45 @@ def test_cache_show_and_clear(tmp_path, capsys):
     assert code == 0 and "cache cleared" in out
     code, out, _ = run(capsys, "cache", "show", "--cache-file", cache_file)
     assert out.splitlines()[0].startswith("0 cached results")
+
+
+def _unusable_cache_file(tmp_path, kind):
+    """A cache path that cannot be read ("directory", "under a file") or
+    that reads as empty but cannot be appended to ("dangling link")."""
+    if kind == "directory":
+        return tmp_path
+    if kind == "under a file":
+        (tmp_path / "plain").write_text("")
+        return tmp_path / "plain" / "r.jsonl"
+    link = tmp_path / "r.jsonl"
+    link.symlink_to(tmp_path / "missing" / "r.jsonl")
+    return link
+
+
+@pytest.mark.parametrize("kind", ["directory", "under a file", "dangling link"])
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_unusable_cache_file_answers_uncached(tmp_path, capsys, kind, fmt):
+    cache_file = _unusable_cache_file(tmp_path, kind)
+    argv = ("compute", "--cache-file", str(cache_file), "--format", fmt,
+            "--method", "symgroup", "-d", "2", "-g", "3")
+    with pytest.warns(UserWarning, match="cache file %s unusable: " % re.escape(str(cache_file))) as caught:
+        code, out, err = run(capsys, *argv)
+    assert len(caught) == 1
+    assert (code, err) == (0, "")
+    value = out.splitlines()[0] if fmt == "plain" else json.loads(out)["numerator"]
+    assert value == "16"
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "under a file"])
+@pytest.mark.parametrize("action", ["show", "clear"])
+def test_cache_command_on_an_unusable_file_exit_4(tmp_path, capsys, kind, action):
+    cache_file = _unusable_cache_file(tmp_path, kind)
+    code, out, err = run(capsys, "cache", action, "--cache-file", str(cache_file))
+    assert (code, out) == (4, "")
+    assert err.startswith("cache file %s unusable: " % cache_file)
+    assert err.count("\n") == 1
+    assert cache_file.parent.exists()
 
 
 # -- validate ---------------------------------------------------------------------

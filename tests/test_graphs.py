@@ -68,36 +68,6 @@ def test_edge_normalization_and_validation():
         FeynmanGraph(2, ((0, 2),))
 
 
-def _labeled_multigraph_count(target, allow_loops):
-    """Oracle: count edge multisets on labeled vertices with given degrees."""
-    s = len(target)
-    candidates = [
-        (u, v) for u in range(s) for v in range(u if allow_loops else u + 1, s)
-    ]
-    hits = 0
-
-    def rec(start, remaining):
-        nonlocal hits
-        if all(x == 0 for x in remaining):
-            hits += 1
-            return
-        for i in range(start, len(candidates)):
-            u, v = candidates[i]
-            need = 2 if u == v else 1
-            if remaining[u] < need or (u != v and remaining[v] < 1):
-                continue
-            remaining[u] -= need
-            if u != v:
-                remaining[v] -= 1
-            rec(i, remaining)
-            remaining[u] += need
-            if u != v:
-                remaining[v] += 1
-
-    rec(0, list(target))
-    return hits
-
-
 @pytest.mark.parametrize("t,c", [(2, 0), (0, 3), (2, 1), (2, 2), (4, 0), (0, 4)])
 @pytest.mark.parametrize("allow_loops", [False, True])
 def test_orbit_counts_recover_labeled_enumeration(t, c, allow_loops):
@@ -174,12 +144,3 @@ def test_canonical_form_is_relabeling_invariant():
             if any(degs[v] != degs[phi[v]] for v in range(g.vertex_count)):
                 continue
             assert graphs.canonical_form(graphs.relabel(g, phi)) == base
-
-
-def test_to_dot_mentions_all_edges():
-    (theta,) = enumerate_graphs(2, 0)
-    dot = graphs.to_dot(theta.graph, title="theta")
-    assert dot.startswith("graph theta {")
-    assert dot.rstrip().endswith("}")
-    assert dot.count(" -- ") == 3
-    assert 'label="q3"' in dot

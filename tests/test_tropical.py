@@ -198,6 +198,17 @@ def test_count_classifies_lifts_once_per_graph(monkeypatch):
     assert sorted(calls.values()) == [1, 1, 1, 1]
 
 
+def test_exported_quotients_are_the_nonzero_weight_multisets():
+    # the export is the unpruned reference: every quotient the flow pass
+    # finds, kept exactly when its weight prod(omega_v - 1) * prod w(e) is nonzero
+    for d, g in DESK + [(4, 4), (2, 6)]:
+        weighted = {
+            edges for edges in tropical._enumerate_multisets(d, g)
+            if tropical._weight(edges, tropical._shape(edges, g - 1), g)
+        }
+        assert {cv.edges for cv in enumerate_quotient_covers(d, g)} == weighted, (d, g)
+
+
 def test_lift_sum_times_prod_m_factorial_is_a_graph_invariant():
     # the lemma count_tropical rests on: prod m!(q) * sum 1/|Aut| over the
     # lift classes of q is the same for every quotient q of one graph
@@ -205,7 +216,9 @@ def test_lift_sum_times_prod_m_factorial_is_a_graph_invariant():
     for d, g in DESK + [(4, 4), (2, 6)]:
         per_graph = defaultdict(set)
         factorials = defaultdict(set)
-        for edges, _weight in tropical._weighted_quotients(d, g):
+        for edges in tropical._enumerate_multisets(d, g):
+            if not tropical._weight(edges, tropical._shape(edges, g - 1), g):
+                continue
             m = multiset_automorphisms(edges)
             classes = tropical.lift_classes(edges, g - 1)[0]
             per_graph[_graph(edges)].add(m * sum(Fraction(1, aut) for _signs, aut in classes))
