@@ -30,8 +30,9 @@ spelling, a canonical line's key fields equal the key's under ``==``
 exactly when the line starts with the head ``{"method": …, "d": …,
 "g": …, "connected": …, "numerator": "`` and ends with the tail
 ``, "tool_version": …, "normalization_reading": …}`` spelled from the
-key.  ``lookup`` finds the last such line with ``rfind`` and decodes
-only that one.
+key.  ``lookup`` finds the last such line and decodes only that one: on
+a scan it has just made, with ``rfind``; on a kept scan (below), from the
+scan's index.
 
 Every other line (blank, hand-edited, reordered, escaped, non-ASCII, CRLF,
 torn, not UTF-8, a longer integer) is decoded as ``entries`` decodes it,
@@ -41,29 +42,41 @@ warnings are those of decoding every line.  A key value of another type,
 such as ``connected=1`` or ``d=True`` (equal to ``True`` and ``1`` under
 ``==`` but spelled differently), makes the lookup decode every line.
 
-A process that looks up many keys scans each byte once.  The module keeps
-the scan of the file it looked up last (one file's at most, keyed by path;
-``clear`` drops it): the bytes of its complete lines, through the last
-newline, their count and its non-canonical lines as (line number, bytes).
-The file only grows by appends, so a later lookup first reads the file in
-64 KiB chunks and checks that it still starts with exactly those bytes,
-then reads the rest into the same buffer and runs the regex over the
-appended complete lines only.  If any byte of the prefix differs (the
+A process that looks up many keys runs the regex over each byte once
+with ``sub``, plus one indexing pass over the kept bytes when it first
+reuses a scan.  The module keeps the scan of the file it looked up last
+(one file's at most, keyed by path; ``clear`` drops it): the bytes of its
+complete lines, through the last newline, their count and its
+non-canonical lines as (line number, bytes).  The file only grows by
+appends, so a later lookup first reads the file in 64 KiB chunks and
+checks that it still starts with exactly those bytes, then reads the
+rest into the same buffer and runs the regex over the appended complete
+lines only.  If any byte of the prefix differs (the
 file was truncated, rewritten, cleared or replaced) it scans afresh; no
 size, time stamp or checksum is trusted.  Bytes after the last newline (a
 torn or still-being-written line) are decoded on every lookup and never
-kept.  The search above then runs over the kept bytes, and the kept
-non-canonical lines are decoded again on each lookup and warn in file
-order, so the result and the warnings are still those of decoding every
-line and every record returned is freshly decoded.  Memory: the new bytes
-are read into the buffer that is kept, so the kept scan holds the file's
-complete lines once, its non-canonical lines a second time, and no
+kept.  The kept non-canonical lines are decoded again on each lookup and
+warn in file order, so the result and the warnings are still those of
+decoding every line and every record returned is freshly decoded.
+
+The first lookup that reuses a kept scan indexes it: one ``finditer``
+pass maps the hash of each canonical line's head and tail to the offset
+of the last such line, and from then on the ``sub`` over appended lines
+adds each line it blanks.  An indexed lookup is the prefix check and one
+probe: no entry means no canonical line of the key, and an entry whose
+line has the key's head and tail is the last one.  Keys whose hashes
+collide share an entry holding the later of their lines, so an entry
+whose line is another key's sends the lookup back to the ``rfind``
+search.  Memory: the new bytes are read into the buffer that is kept, so
+the kept scan holds the file's complete lines once, its non-canonical
+lines a second time, one hash and one offset per distinct key, and no
 decoded record, until the process ends or looks up another file.  A key
 value of another type bypasses the kept scan and decodes the file as
 read.  One lookup per process, as in each ``compute`` run of the command
-line, reads the file once and runs one regex pass, as it would without
-the kept scan; the gain is for a process that looks up many keys, such as
-a script that calls ``cli.main`` or ``ResultCache.lookup`` in a loop.
+line, reads the file once, runs one regex pass and one ``rfind`` search,
+and builds no index, as it would without the kept scan; the gain is for
+a process that looks up many keys, such as a script that calls
+``cli.main`` or ``ResultCache.lookup`` in a loop.
 """
 
 from __future__ import annotations
@@ -130,9 +143,15 @@ DEFAULT_CACHE_PATH = Path.home() / ".cache" / "twisted-hurwitz" / "results.jsonl
 @lru_cache(maxsize=1)
 def _canonical_line():
     """The regex of one canonical line and its newline, compiled on first
-    use (it takes about a millisecond) rather than at import."""
-    fields = b", ".join(b'"%s": %s' % (name.encode(), _SPELLING[kind]) for name, kind in LINE_FIELDS)
-    return re.compile(rb"^\{%s\}\n" % fields, re.M)
+    use (it takes about a millisecond) rather than at import.  Group 1 is
+    the line's head and group 2 its tail, as ``_head_and_tail`` spells
+    them."""
+    fields = [b'"%s": %s' % (name.encode(), _SPELLING[kind]) for name, kind in LINE_FIELDS]
+    head = rb'\{%s, %s, %s, %s, "numerator": "' % tuple(fields[:4])
+    tail = rb", %s, %s\}" % tuple(fields[7:])
+    # between them: the numerator after its opening quote, the denominator and the time
+    middle = rb"%s, %s, %s" % (_SPELLING[str][1:], fields[5], fields[6])
+    return re.compile(rb"^(%s)%s(%s)\n" % (head, middle, tail), re.M)
 
 
 def _head_and_tail(key: dict):
@@ -169,15 +188,35 @@ def _last_canonical(data: bytes, head: bytes, tail: bytes):
     return None
 
 
+def _index_key(head: bytes, tail: bytes) -> int:
+    """The key under which a scan's index holds the lines of *head* and *tail*."""
+    return hash(head + tail)
+
+
 class _Scan:
     """What lookups learned from the complete lines of one file: their
-    bytes, their count, and the non-canonical lines among them as (line
-    number, bytes), in file order."""
+    bytes, their count, the non-canonical lines among them as (line
+    number, bytes), in file order, and, once the scan is reused, its index:
+    for each ``_index_key`` of a canonical line's head and tail, the offset
+    of the last such line."""
 
-    __slots__ = ("path", "data", "lines", "odd")
+    __slots__ = ("path", "data", "lines", "odd", "index")
 
     def __init__(self, path):
-        self.path, self.data, self.lines, self.odd = path, bytearray(), 0, []
+        self.path, self.data, self.lines, self.odd, self.index = path, bytearray(), 0, [], None
+
+    def last_canonical(self, head: bytes, tail: bytes):
+        """The match of the last canonical line that starts with *head* and
+        ends with *tail*, or None: read from the index when there is one
+        and its line is that key's (other keys may share its entry),
+        searched for otherwise."""
+        if self.index is None:
+            return _last_canonical(self.data, head, tail)
+        at = self.index.get(_index_key(head, tail))
+        if at is None:
+            return None
+        match = _canonical_line().match(self.data, at)
+        return match if match.group(1, 2) == (head, tail) else _last_canonical(self.data, head, tail)
 
 
 #: the scan of the file looked up last (one file's at most), and the lock
@@ -254,14 +293,28 @@ class ResultCache:
             if scan is None or not _starts_with(handle, scan.data):
                 scan = _Scan(self.path)
                 handle.seek(0)
+            elif scan.index is None:
+                # reused for the first time: index the kept lines once
+                scan.index = {_index_key(*match.group(1, 2)): match.start()
+                              for match in _canonical_line().finditer(scan.data)}
             # the new bytes become or extend the kept buffer: the file is held once
             new = bytearray(max(os.fstat(handle.fileno()).st_size - len(scan.data), 0))
             del new[handle.readinto(new):]
         cut = new.rfind(b"\n") + 1
         tail = new[cut:]
         del new[cut:]
-        # canonical lines become blank lines, so line numbers are kept
-        rest = _canonical_line().sub(b"\n", new)
+        # canonical lines become blank lines, so line numbers are kept; an
+        # index takes in the appended ones as they are blanked
+        if scan.index is None:
+            rest = _canonical_line().sub(b"\n", new)
+        else:
+            index, at = scan.index, len(scan.data)
+
+            def blank(match):
+                index[_index_key(*match.group(1, 2))] = at + match.start()
+                return b"\n"
+
+            rest = _canonical_line().sub(blank, new)
         scan.odd += self._lines(rest, scan.lines + 1)
         if scan.data:
             scan.data += new
@@ -293,7 +346,7 @@ class ResultCache:
             scan, tail = self._scan()
             found, found_line = self._last_decoded(
                 key, itertools.chain(scan.odd, self._lines(tail, scan.lines + 1)))
-            match = _last_canonical(scan.data, *ends)
+            match = scan.last_canonical(*ends)
             # the canonical line's number is its count of earlier newlines + 1
             if match and (found is None or scan.data.count(b"\n", 0, match.start()) >= found_line):
                 return json.loads(match.group())

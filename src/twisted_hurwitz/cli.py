@@ -17,7 +17,9 @@ connectivity listed is ``compute``'s default.  ``compute`` refuses a query
 outside its method's domain, and ``validate`` leaves such a cell ``-``.
 
 ``compute`` answers uncached, with a warning, when its cache file cannot
-be read or appended to.
+be read or appended to.  Warnings (that one, a damaged cached record, a
+corrupt cache line) are printed by the command line as one line each on
+stderr, ``warning:`` and the message, without the source location.
 
 Exit codes: 0 success, 2 incompatible parameters (or, from argparse, a
 malformed argument such as ``--budget abc``), 3 step budget exceeded,
@@ -323,11 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the command line prints it: one line, no source location."""
+    return "warning: %s\n" % message
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the handler is looked up per call, not bound into the shared parser
     return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
+def console() -> int:
+    """The command line: ``main`` with each printed warning on one line.
+    Only the printed form changes; warning filters still apply."""
+    warnings.formatwarning = _warning_line
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -139,15 +139,27 @@ def files_and_keys(draw):
     return data, key
 
 
+@pytest.fixture(params=[False, True], ids=["hashed", "colliding"])
+def index_keys(request, monkeypatch):
+    """Index keys as lookups make them, or one key for every line, so that
+    an indexed lookup meets other keys' lines under its own key.  No scan
+    is kept from before the test, and none outlives it."""
+    monkeypatch.setattr(cache, "_kept", None)
+    if request.param:
+        monkeypatch.setattr(cache, "_index_key", lambda head, tail: 0)
+
+
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(files_and_keys())
-def test_lookup_answers_and_warns_as_decoding_every_line(tmp_path, file_and_key):
+def test_lookup_answers_and_warns_as_decoding_every_line(tmp_path, index_keys, file_and_key):
+    """Twice: the second lookup reuses the scan and reads its index."""
     data, key = file_and_key
     path = tmp_path / "cache.jsonl"
     path.write_bytes(data)
-    assert answer_and_warnings(ResultCache(path).lookup, key) == answer_and_warnings(
-        decode_every_line, path, key
-    )
+    expected = answer_and_warnings(decode_every_line, path, key)
+    store = ResultCache(path)
+    assert answer_and_warnings(store.lookup, key) == expected
+    assert answer_and_warnings(store.lookup, key) == expected
 
 
 #: what happens to a cache file between two lookups
@@ -178,7 +190,7 @@ def _rewrite_same_length(path, rng):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.randoms(use_true_random=True), st.lists(st.sampled_from(STEPS), max_size=12))
-def test_lookups_across_file_changes_answer_and_warn_as_decoding_every_line(tmp_path, rng, steps):
+def test_lookups_across_file_changes_answer_and_warn_as_decoding_every_line(tmp_path, index_keys, rng, steps):
     """One cache object and one path through a sequence of changes: a scan
     kept from an earlier lookup (or an earlier example) must never show
     through."""
@@ -278,7 +290,7 @@ def test_an_off_type_key_runs_no_regex_and_keeps_no_scan(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "_canonical_line", lambda: pattern)
     store.store(record)
     assert store.lookup(dict(key, connected=1)) == record
-    assert pattern.scanned == [] and cache._kept is kept and kept.lines == 1
+    assert pattern.scanned == pattern.indexed == [] and cache._kept is kept and kept.lines == 1
 
 
 # -- the byte path is the path stored records take -------------------------------
@@ -314,14 +326,20 @@ def test_a_hit_among_canonical_records_decodes_one_line(tmp_path, monkeypatch):
 
 
 class CountingPattern:
-    """The canonical-line regex, recording the bytes each ``sub`` runs over."""
+    """The canonical-line regex, recording the bytes each ``sub`` runs over
+    (``scanned``) and each ``finditer``, the index pass, runs over
+    (``indexed``)."""
 
     def __init__(self, pattern):
-        self.pattern, self.scanned = pattern, []
+        self.pattern, self.scanned, self.indexed = pattern, [], []
 
     def sub(self, repl, data):
         self.scanned.append(bytes(data))
         return self.pattern.sub(repl, data)
+
+    def finditer(self, data):
+        self.indexed.append(bytes(data))
+        return self.pattern.finditer(data)
 
     def __getattr__(self, name):
         return getattr(self.pattern, name)
@@ -342,6 +360,7 @@ def test_a_later_lookup_scans_only_the_appended_lines(tmp_path, monkeypatch):
 
     assert store.lookup(key) is not None
     assert sum(map(len, pattern.scanned)) == 0
+    assert pattern.indexed == [path.read_bytes()]
     assert len(decoded) <= 1
 
     record = RunRecord("fock", 2, 3, False, "16", "1", 4, "0.1", "").as_dict()
@@ -349,11 +368,39 @@ def test_a_later_lookup_scans_only_the_appended_lines(tmp_path, monkeypatch):
     store.store(record)
     assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
     assert b"".join(pattern.scanned) == (json.dumps(record) + "\n").encode()
+    assert len(pattern.indexed) == 1
 
     store.clear()
     record = dict(record, numerator="17")
     store.store(record)
     assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
+
+
+def test_only_a_reused_scan_is_indexed_and_then_searches_no_bytes(tmp_path, monkeypatch):
+    """A lookup on a fresh scan builds no index; once the scan is reused,
+    a hit and a miss are each one probe of the index, with no search of
+    the kept bytes."""
+    path = tmp_path / "cache.jsonl"
+    filler = canonical_filler(5000)
+    path.write_text("".join(filler))
+    store = ResultCache(path)
+    hit = {f: json.loads(filler[2500])[f] for f in KEY_FIELDS}
+    miss = dict(hit, tool_version="none")
+    expected = decode_every_line(path, hit)
+    assert store.lookup(hit) == expected
+    assert cache._kept.index is None
+    assert store.lookup(hit) == expected
+    assert len(cache._kept.index) == 140  # one entry per distinct key
+
+    searches, decoded = [], []
+    last_canonical, loads = cache._last_canonical, cache.json.loads
+    monkeypatch.setattr(cache, "_last_canonical", lambda *a: searches.append(1) or last_canonical(*a))
+    monkeypatch.setattr(cache.json, "loads", lambda *a, **k: decoded.append(1) or loads(*a, **k))
+    assert store.lookup(hit) == expected
+    assert searches == [] and len(decoded) <= 1
+    del decoded[:]
+    assert store.lookup(miss) is None
+    assert searches == [] and decoded == []
 
 
 def test_changing_a_returned_record_changes_no_later_answer(tmp_path):
@@ -367,9 +414,11 @@ def test_changing_a_returned_record_changes_no_later_answer(tmp_path):
 
 def test_threads_sharing_the_kept_scan_scan_each_byte_once(tmp_path, monkeypatch):
     """More threads than cores store and look up through one path: each
-    must read back what it stored, and the regex must run over each byte
-    of the file once, which an update lost between two threads (a line
-    scanned twice, a kept scan that no longer matches the file) breaks."""
+    must read back what it stored, the regex must run over each byte of
+    the file once and build the index once, and the index must end as one
+    built from the whole file would be; an update lost between two
+    threads (a line scanned twice, a kept scan that no longer matches the
+    file, an appended line missing from the index) breaks one of these."""
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(canonical_filler(2000)))
     pattern = CountingPattern(cache._canonical_line())
@@ -401,7 +450,10 @@ def test_threads_sharing_the_kept_scan_scan_each_byte_once(tmp_path, monkeypatch
     assert ResultCache(path).lookup(dict({f: RECORD[f] for f in KEY_FIELDS}, tool_version="none")) is None
     data = path.read_bytes()
     assert sum(map(len, pattern.scanned)) == len(data)
+    assert len(pattern.indexed) == 1
     assert bytes(cache._kept.data) == data and cache._kept.lines == data.count(b"\n")
+    assert cache._kept.index == {cache._index_key(*match.group(1, 2)): match.start()
+                                 for match in pattern.pattern.finditer(data)}
 
 
 def test_stored_records_are_canonical_lines(tmp_path, capsys):

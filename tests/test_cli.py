@@ -4,7 +4,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -448,6 +452,36 @@ def test_unusable_cache_file_answers_uncached(tmp_path, capsys, kind, fmt):
     value = out.splitlines()[0] if fmt == "plain" else json.loads(out)["numerator"]
     assert value == "16"
     assert not (tmp_path / "missing").exists()
+
+
+def run_command_line(*argv):
+    """One command-line run in a fresh interpreter, with default warning
+    filters: (exit code, stdout, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "twisted_hurwitz.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("case", ["unusable file", "corrupt line", "damaged record"])
+def test_cache_warnings_print_one_line_each(tmp_path, case):
+    cache_file = tmp_path / "cache.jsonl"
+    if case == "unusable file":
+        cache_file = tmp_path
+        message = "cache file %s unusable: .+; answering uncached" % re.escape(str(cache_file))
+    elif case == "corrupt line":
+        cache_file.write_text("{not json}\n")
+        message = "skipping corrupt cache line 1 in %s" % re.escape(str(cache_file))
+    else:
+        record = RunRecord("symgroup", 2, 3, True, "16", "0", 0, cli.__version__, "").as_dict()
+        cache_file.write_text(json.dumps(record) + "\n")
+        message = "ignoring damaged cache record in %s; recomputing" % re.escape(str(cache_file))
+    code, out, err = run_command_line("compute", "--method", "symgroup", "-d", "2", "-g", "3",
+                                      "--cache-file", str(cache_file))
+    assert (code, out.splitlines()[0]) == (0, "16")
+    assert re.fullmatch("warning: %s\n" % message, err), err
 
 
 @pytest.mark.parametrize("kind", ["directory", "under a file"])
