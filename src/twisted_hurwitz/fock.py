@@ -32,20 +32,38 @@ points is
         sum_c coef_{z^c} <b_mu | M^{g-1} | b_nu> * 2^{(g-c+1)/2} / 2^{c+1},
 
 and the disconnected invariant of the elliptic curve sums this over mu = nu
-running through partitions of d, weighted by 1/(|Aut(mu)| prod mu_i).  Note
-the per-branch-point doubling lives entirely in the vertex operator's global
-factor of 2 (M^{g-1} contributes 2^{g-1}); applying another 2^{g-1} on top
-would double-count it, as the cross-check against the factorization pipeline
-shows.  Only even exponents g-c+1 may carry nonzero coefficients; a nonzero
-coefficient at odd g-c+1 signals a transcription bug and raises
-ParityViolation instead of being silently skipped.
+running through partitions of d, weighted by prod mu_i / |Aut(mu)|, as
+elliptic_from_doubles assembles it.  Note the per-branch-point doubling
+lives entirely in the vertex operator's global factor of 2 (M^{g-1}
+contributes 2^{g-1}); applying another 2^{g-1} on top would double-count
+it, as the cross-check against the factorization pipeline shows.  Only
+even exponents g-c+1 may carry nonzero coefficients; a nonzero coefficient
+at odd g-c+1 signals a transcription bug and raises ParityViolation instead
+of being silently skipped.
 
 Every matrix element is a polynomial with integer coefficients: alpha_{-k}
 inserts a part k with coefficient 1, alpha_k removes one with coefficient
 k * m_k (m_k the number of parts equal to k), and M's own coefficients are
 2(k-1) and 1 once its 2 * 1/2 prefactor is cancelled against the ordered
-pairs (i, j).  So the z-polynomials hold ints, and Fraction enters only in
-the prefactor sum and the final divisions.
+pairs (i, j).  So the z-polynomials hold ints.
+
+The elliptic count is a trace.  Write P for the prefactor sum, which is
+linear, p = g-1, and [b_mu] v for the coefficient of b_mu in v.  After the
+double number's 1/prod(mu_i)^2, partition mu contributes P(<b_mu|M^p|b_mu>)
+with weight 1/(|Aut(mu)| prod mu_i), and that weight is 1/<b_mu|b_mu>.
+The basis is orthogonal, so <b_mu|M^p|b_mu> = <b_mu|b_mu> * [b_mu] M^p b_mu,
+and the count is
+
+    P(T),    T(z) = sum_{mu |- d} [b_mu] M^p b_mu,
+
+the trace of M^p on the degree-d states.  elliptic_disconnected reads each
+term as <M^ceil(p/2) b_mu | M^floor(p/2) b_mu>, which is <b_mu|M^p|b_mu> by
+self-adjointness, and divides it by <b_mu|b_mu>.  Each division is exact
+coefficient by coefficient: [b_mu] M^p b_mu is an integer polynomial,
+because M has integer coefficients in the basis.  A remainder would mean a
+broken split or a broken norm, and raises instead of being truncated.  So T
+is summed in ints, and Fraction enters only in the one prefactor sum P(T)
+and in the double numbers' division by prod mu_i * prod nu_j.
 """
 
 from __future__ import annotations
@@ -240,14 +258,31 @@ def apply_alpha(n, v):
     return FockVector(out)
 
 
+@lru_cache(maxsize=None)
+def _norm(mu):
+    """<b_mu|b_mu> = prod(mu) * |Aut(mu)|, once per partition."""
+    return parts_product(mu) * aut_count(mu)
+
+
+def _pairing(u, v):
+    """<u|v> as a dict {z exponent: int}, summed in place; zeros may remain."""
+    out = {}
+    vterms = v.terms
+    for mu, pu in u.terms.items():
+        pv = vterms.get(mu)
+        if pv:
+            norm = _norm(mu)
+            right = pv.coeffs.items()
+            for e1, c1 in pu.coeffs.items():
+                c1 *= norm
+                for e2, c2 in right:
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
 def inner_product(u, v):
     """<u|v> as a ZPoly; basis vectors satisfy <b_mu|b_nu> = delta * prod(mu) * |Aut|."""
-    out = ZPoly()
-    for mu, pu in u.terms.items():
-        pv = v.terms.get(mu)
-        if pv:
-            out = out + (pu * pv).scale(parts_product(mu) * aut_count(mu))
-    return out
+    return ZPoly(_pairing(u, v))
 
 
 @lru_cache(maxsize=None)
@@ -298,6 +333,22 @@ def apply_m(v, energy_cap):
     return FockVector({mu: ZPoly(coeffs) for mu, coeffs in out.items()})
 
 
+def _halves(mu, nu, power):
+    """(M^ceil(p/2) b_mu, M^floor(p/2) b_nu) for valid partitions of one size,
+    p = power; when mu == nu the second is a link of the first's chain."""
+    cap = sum(nu)
+    half = power // 2
+    chain = [FockVector({mu: ZPoly.const(1)})]
+    for _ in range(power - half):
+        chain.append(apply_m(chain[-1], cap))
+    if mu == nu:
+        return chain[-1], chain[half]
+    right = FockVector({nu: ZPoly.const(1)})
+    for _ in range(half):
+        right = apply_m(right, cap)
+    return chain[-1], right
+
+
 def matrix_element(mu, nu, power):
     """<b_mu | M^power | b_nu> as a ZPoly (zero when sizes differ), split
     by self-adjointness as the module docstring derives."""
@@ -306,18 +357,7 @@ def matrix_element(mu, nu, power):
         raise ValueError("power must be >= 0, got %r" % (power,))
     if sum(mu) != sum(nu):
         return ZPoly()
-    cap = sum(nu)
-    half = power // 2
-    chain = [FockVector.basis(mu)]
-    for _ in range(power - half):
-        chain.append(apply_m(chain[-1], cap))
-    if mu == nu:
-        right = chain[half]
-    else:
-        right = FockVector.basis(nu)
-        for _ in range(half):
-            right = apply_m(right, cap)
-    return inner_product(chain[-1], right)
+    return inner_product(*_halves(mu, nu, power))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +405,22 @@ def twisted_double_disconnected(mu, nu, g):
 
 @lru_cache(maxsize=None)
 def elliptic_disconnected(d, g):
-    """Disconnected twisted invariant of the elliptic curve, degree d, genus g."""
+    """Disconnected twisted invariant of the elliptic curve, degree d, genus g:
+    the prefactor sum of the integer trace of M^(g-1) on degree d."""
     if d < 1 or g < 1:
         raise ValueError("need d >= 1 and g >= 1")
-    total = Fraction(0)
+    trace = {}
     for mu in partitions(d):
-        me = matrix_element(mu, mu, g - 1)
-        total += _prefactor_sum(me, g) / (aut_count(mu) * parts_product(mu))
-    return total
+        norm = _norm(mu)
+        for e, c in _pairing(*_halves(mu, mu, g - 1)).items():
+            quotient, remainder = divmod(c, norm)
+            if remainder:
+                raise ArithmeticError(
+                    "<b_mu|M^%d|b_mu> has z^%d coefficient %d, not a multiple "
+                    "of <b_mu|b_mu> = %d for mu = %r" % (g - 1, e, c, norm, mu)
+                )
+            trace[e] = trace.get(e, 0) + quotient
+    return _prefactor_sum(ZPoly(trace), g)
 
 
 def elliptic_from_doubles(d, g):

@@ -1,10 +1,12 @@
 """Operator formalism: ladder operators, the vertex operator, twisted counts."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from twisted_hurwitz import fock
 from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.fock import (
     FockVector,
@@ -86,6 +88,45 @@ def test_basis_norms():
                 assert ip == parts_product(mu) * aut_count(mu)
             else:
                 assert not ip
+
+
+def _naive_inner_product(u, v):
+    # term by term over every pair of basis vectors, norms recomputed
+    out = ZPoly()
+    for mu, pu in u.terms.items():
+        for nu, pv in v.terms.items():
+            if mu == nu:
+                out = out + (pu * pv).scale(parts_product(mu) * aut_count(mu))
+    return out
+
+
+def test_inner_product_matches_naive_reference():
+    rng = random.Random(0)
+
+    def vector():
+        terms = {}
+        for mu in rng.sample(BASIS, 6):
+            terms[mu] = ZPoly({e: rng.randint(-3, 3) for e in range(rng.randint(1, 3))})
+        return FockVector(terms)
+
+    for _ in range(300):
+        u, v = vector(), vector()
+        got = inner_product(u, v)
+        assert got == _naive_inner_product(u, v), (u, v)
+        assert 0 not in got.coeffs.values()
+
+
+def test_inner_product_drops_cancelled_coefficients():
+    # <b_21|b_21> = 2 and <b_3|b_3> = 3, so 3 * 2 - 2 * 3 cancels
+    v = FockVector({(2, 1): ZPoly.const(1), (3,): ZPoly.const(-2)})
+    u = FockVector({(2, 1): ZPoly.const(3), (3,): ZPoly.const(1)})
+    cancelled = inner_product(u, v)
+    assert cancelled == ZPoly() == _naive_inner_product(u, v)
+    assert not cancelled
+    # the constant term cancels, the z term survives alone
+    u = FockVector({(2, 1): ZPoly({0: 3, 1: 1}), (3,): ZPoly.const(1)})
+    assert inner_product(u, v).coeffs == {1: 2}
+    assert inner_product(u, v) == _naive_inner_product(u, v)
 
 
 def test_vertex_operator_small_values():
@@ -211,9 +252,35 @@ def test_double_number_guards():
 
 
 def test_elliptic_assemblies_agree():
-    for d in (1, 2, 3):
-        for g in (1, 2, 3, 4):
-            assert elliptic_from_doubles(d, g) == elliptic_disconnected(d, g)
+    for d in range(1, 7):
+        for g in range(1, 7):
+            assert elliptic_from_doubles(d, g) == elliptic_disconnected(d, g), (d, g)
+
+
+def test_elliptic_count_calls_apply_m_through_the_module(monkeypatch):
+    # the benchmark's Fock probe wraps fock.apply_m, so the count must reach
+    # it through the module global
+    calls = []
+    real = fock.apply_m
+
+    def counted(v, energy_cap):
+        calls.append(energy_cap)
+        return real(v, energy_cap)
+
+    monkeypatch.setattr(fock, "apply_m", counted)
+    elliptic_disconnected.cache_clear()
+    assert elliptic_disconnected(3, 5) == 22048
+    assert calls
+
+
+def test_elliptic_count_raises_on_a_broken_norm(monkeypatch):
+    # each partition's pairing must divide exactly by its norm; a wrong norm
+    # leaves a remainder, which must raise rather than be floored away
+    norm = fock._norm
+    monkeypatch.setattr(fock, "_norm", lambda mu: norm(mu) + 1)
+    elliptic_disconnected.cache_clear()
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        elliptic_disconnected(3, 5)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -239,6 +306,7 @@ def test_elliptic_matches_content_sum():
         for g in range(1, 7):
             assert elliptic_disconnected(d, g) == _content_sum(d, g), (d, g)
     assert elliptic_disconnected(14, 6) == _content_sum(14, 6) == 14626914197376
+    assert elliptic_disconnected(12, 9) == _content_sum(12, 9) == 31448870469726234624
 
 
 def test_frozen_disconnected_values():
