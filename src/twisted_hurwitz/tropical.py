@@ -28,10 +28,14 @@ a vertex must balance it, so its orientation and weight are read from the
 balance rather than searched (a loop moves no weight and tries every w),
 and a backward edge's weight is charged against d, as its k is at least
 1.  Only then are the crossing counts k placed under sum(w*k) = d, so
-the balance is searched once per graph, not once per choice of
-crossings.  Loops occur only at g = 2: a loop balances only at a lone
-2-valent vertex, while at a 3-valent vertex it leaves the third germ
-unbalanced.
+the balance is not searched again for each choice of crossings.  Nor is
+it searched again for each graph: the list comes in enumeration order,
+so consecutive graphs with the same valences share an edge prefix, and
+the partial flows over that prefix are kept and extended by each graph
+that shares it (_flows).  The balance is searched once per shared edge
+prefix of the list.  Loops occur only at g = 2: a loop balances only at
+a lone 2-valent vertex, while at a 3-valent vertex it leaves the third
+germ unbalanced.
 
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
@@ -67,9 +71,14 @@ So prod m!(q) * sum 1/|Aut| = N / 2^{#doubled} is one number per labelled
 graph, whatever the decoration and whatever d: count_tropical reads it
 from the lifts of the graph's own edges, each taken as (u, v, 0, 1),
 classified once per graph per process, and multiplies each graph's sum by
-it.  enumerate_quotient_covers decorates without the cut, drops the
-weight-0 quotients afterwards and classifies every quotient; it is the
-export and the unpruned reference.
+it.  That sum is kept in integers: the weight depends only on the flow
+and is formed once per flow, and equal decorated edges are equal edges
+of the graph, so prod m!(q) divides the graph's own prod m!, M, and each
+quotient adds the integer M / prod m!(q) times its flow's weight.  One
+Fraction, the integer sum over M, is formed per graph.
+enumerate_quotient_covers decorates without the cut, drops the weight-0
+quotients afterwards and classifies every quotient; it is the export and
+the unpruned reference.
 
 The closed quotient-side formulas — the lift sum sum(1/|Aut(pi)|) =
 (2^{g'} - delta_{0c}) / (2^{c+1} |Aut(qbar)|), and the quotient
@@ -145,94 +154,152 @@ def _enumerate_multisets(d, g):
     """All balanced connected degree-d edge multisets with one 2- or
     3-valent vertex per position, as sorted tuples, ascending: labelled
     graphs (loops only at g = 2) x their decorations, balanced flow
-    first and crossings after."""
+    first and crossings after, without the count's cut."""
     s = g - 1
-    results = []
-    for t, c in vertex_profiles(g):
-        for graph in labelled_graphs(t, c, allow_loops=g == 2):
-            results.extend(_decorations(graph.edges, s, d))
-    return sorted(results)
+    return sorted(
+        edges
+        for t, c in vertex_profiles(g)
+        for _pairs, _valences, flows in _flows(
+            (graph.edges for graph in labelled_graphs(t, c, allow_loops=g == 2)), s, d, False
+        )
+        for edges in _quotients(flows)
+    )
 
 
-def _decorations(pairs, s, d, counted=False):
-    """Edge multisets (i, j, k, w) over the sorted edge pairs `pairs` with
-    sum of w*k equal to d, balanced at every position: balanced flow first,
-    crossings after.  With `counted`, only those of nonzero weight: an edge
-    at a two-valent position takes w >= 2.
+def _decorations(pairs, s, d):
+    """The edge multisets (i, j, k, w) of the one graph with the sorted
+    edge pairs `pairs`: sum of w*k equal to d, balanced at every position,
+    each once, as sorted tuples (see _flows)."""
+    ((_pairs, _valences, flows),) = _flows([pairs], s, d, False)
+    return _quotients(flows)
 
-    The flow pass gives each edge an orientation and a weight w <= d.  A
+
+def _quotients(flows):
+    """The edge multisets of every flow in `flows`, as sorted tuples."""
+    return [edges for _net, spare, flow in flows for edges, _runs in _crossings(flow, spare)]
+
+
+def _flows(pair_lists, s, d, cut):
+    """Yield (pairs, valences, flows) for the sorted edge pairs of each
+    graph in `pair_lists`, in order: the graph's balanced flows, each as
+    (net, spare, flow), with flow the (i, j, w, least k) of every edge
+    and spare what is left of d over the least k.  With `cut`, an edge at
+    a two-valent position takes w >= 2 (the count's cut).
+
+    The flow gives each edge an orientation and a weight w <= d.  A
     position's balance is checked as soon as its last incident edge is
     placed, and a closing non-loop edge takes the one orientation and
     weight that balance it (a loop moves no weight and tries every w).  A
     backward edge (i >= j) needs k >= 1, so its weight is charged against
-    d, and a flow whose backward weights would exceed d is cut.  The
-    crossing pass then spends what is left of d on crossings beyond those
-    least ones, edge by edge; the last edge takes the remainder divided by
-    its weight.  Parallel edges take non-decreasing (i, j) in the flow and
-    non-decreasing (i, j, k, w) once crossed, so each multiset appears
-    once."""
-    m = len(pairs)
-    closes = [[] for _ in pairs]
-    for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items():
-        closes[n].append(v)
-    parallel = [n > 0 and pairs[n - 1] == pairs[n] for n in range(m)]
-    # the least weight of each edge: 2 at a two-valent position when counted
-    valences = [0] * s
-    for u, v in pairs:
-        valences[u] += 1
-        valences[v] += 1
-    lightest = [2 if counted and 2 in (valences[u], valences[v]) else 1 for u, v in pairs]
-    net = [0] * s  # outgoing minus incoming germ weight
-    flow = []  # (i, j, w, least k) per edge
-    chosen = []
-    out = []
+    d, and a flow whose backward weights would exceed d is cut.  Parallel
+    edges take non-decreasing (i, j), so _crossings builds each multiset
+    once.
 
-    def place(n, back):
-        if n == m:
-            cross(0, d - back)
-            return
-        u, v = pairs[n]
-        if u != v and closes[n]:
-            # the edge that closes x leaves x when more weight enters x
-            x = closes[n][0]
-            w = net[x]
-            if abs(w) < lightest[n]:
-                return
-            choices = [(x, u + v - x, -w) if w < 0 else (u + v - x, x, w)]
+    Which positions an edge closes, whether it is parallel to the edge
+    before and its least weight depend only on the valences and the edges
+    before it.  So levels[k], the partial flows over the first k edges,
+    serves every graph with the same valences and first k edges, and
+    each graph extends only the levels past the prefix it shares with the
+    graph before."""
+    levels = []
+    previous, previous_valences = (), None
+    for pairs in pair_lists:
+        valences = [0] * s
+        for u, v in pairs:
+            valences[u] += 1
+            valences[v] += 1
+        shared = 0
+        if valences == previous_valences:
+            for pair, before in zip(pairs, previous):
+                if pair != before:
+                    break
+                shared += 1
         else:
-            choices = [(i, j, w) for i, j in {(u, v), (v, u)} for w in range(lightest[n], d + 1)]
-        for i, j, w in choices:
-            least = int(i >= j)
-            if w > d or back + w * least > d or parallel[n] and (i, j) < flow[-1][:2]:
-                continue
-            net[i] += w
-            net[j] -= w
-            if all(net[x] == 0 for x in closes[n]):
-                flow.append((i, j, w, least))
-                place(n + 1, back + w * least)
-                flow.pop()
-            net[i] -= w
-            net[j] += w
+            levels = [[((0,) * s, d, ())]]
+        del levels[shared + 1:]
+        placed = [0] * s
+        for n, (u, v) in enumerate(pairs):
+            placed[u] += 1
+            placed[v] += 1
+            if n >= shared:
+                closes = [x for x in {u, v} if placed[x] == valences[x]]
+                lightest = 2 if cut and 2 in (valences[u], valences[v]) else 1
+                parallel = n > 0 and pairs[n - 1] == (u, v)
+                levels.append(_extend(levels[-1], u, v, closes, parallel, lightest, d))
+        yield pairs, valences, levels[-1]
+        previous, previous_valences = pairs, valences
 
-    def cross(n, spare):
-        # spare: what is left of d over the least k of edges n, n+1, ...
+
+def _extend(level, u, v, closes, parallel, lightest, d):
+    """The partial flows of `level` followed by the edge (u, v) of weight
+    at least `lightest`, where `closes` lists the positions that the edge
+    is the last to meet, by the rules in _flows' docstring."""
+    out = []
+    if u != v and closes:
+        # the edge that closes x leaves x when more weight enters x
+        x = closes[0]
+        y = u + v - x
+        for net, spare, flow in level:
+            w = net[x]
+            i, j, w = (x, y, -w) if w < 0 else (y, x, w)
+            least = int(i >= j)
+            if w < lightest or w > d or w * least > spare or parallel and (i, j) < flow[-1][:2]:
+                continue
+            moved = list(net)
+            moved[x] = 0
+            moved[y] += net[x]
+            if not moved[y] or y not in closes:
+                out.append((tuple(moved), spare - w * least, flow + ((i, j, w, least),)))
+        return out
+    orientations = [(i, j, int(i >= j)) for i, j in {(u, v), (v, u)}]
+    for net, spare, flow in level:
+        if closes and net[u]:  # only a loop closes here, and it moves no weight
+            continue
+        for i, j, least in orientations:
+            if parallel and (i, j) < flow[-1][:2]:
+                continue
+            for w in range(lightest, (spare if least else d) + 1):
+                moved = list(net)
+                moved[i] += w
+                moved[j] -= w
+                out.append((tuple(moved), spare - w * least, flow + ((i, j, w, least),)))
+    return out
+
+
+def _crossings(flow, spare):
+    """The quotients of one balanced flow, each with its prod m!: every
+    way to spend `spare`, what is left of d over the least k, on crossings
+    beyond those least ones, edge by edge; the last edge takes the
+    remainder divided by its weight.  Parallel edges of one orientation
+    take non-decreasing (k, w), so each multiset appears once and equal
+    decorated edges are adjacent: prod m! is read from their runs."""
+    last = len(flow) - 1
+    out = []
+    chosen = []
+
+    def cross(n, spare, runs, run):
         i, j, w, k = flow[n]
-        if parallel[n] and chosen[-1][:2] == (i, j):
+        if chosen and chosen[-1][:2] == (i, j):
             floor = chosen[-1][2] + (w < chosen[-1][3])
             if floor > k:
                 spare -= w * (floor - k)
                 k = floor
-        if n == m - 1:
+        if n == last:
             extra, rest = divmod(spare, w)
-            if extra >= 0 and not rest:
-                out.append(tuple(sorted(chosen + [(i, j, k + extra, w)])))
-            return
-        for extra in range(spare // w + 1):
-            chosen.append((i, j, k + extra, w))
-            cross(n + 1, spare - w * extra)
+            extras = () if extra < 0 or rest else (extra,)
+        else:
+            extras = range(spare // w + 1)
+        for extra in extras:
+            edge = (i, j, k + extra, w)
+            step = run + 1 if chosen and chosen[-1] == edge else 1
+            chosen.append(edge)
+            if n == last:
+                out.append((tuple(sorted(chosen)), runs * step))
+            else:
+                cross(n + 1, spare - w * extra, runs * step, step)
             chosen.pop()
 
-    place(0, 0)
+    cross(0, spare, 1, 0)
     return out
 
 
@@ -357,11 +424,15 @@ class QuotientCover:
         if not connected(self.positions, ((i, j) for i, j, _k, _w in self.edges)):
             raise ValueError("quotient %r is disconnected: it does not join the positions "
                              "0..%d" % (self.edges, self.g - 2))
-        if self.lift_automorphisms < 1:
-            raise ValueError("lift_automorphisms must be >= 1")
+        if type(self.lift_automorphisms) is not int or self.lift_automorphisms < 1:
+            raise ValueError("lift_automorphisms must be an int >= 1, not %r"
+                             % (self.lift_automorphisms,))
         if len(self.lift) != len(self.shape.e33):
             raise ValueError("lift has %d signs, expected %d"
                              % (len(self.lift), len(self.shape.e33)))
+        if any(type(sign) is not int or sign not in (STRAIGHT, CROSSED) for sign in self.lift):
+            raise ValueError("lift %r has a sign that is neither 0 (straight) nor 1 (crossed)"
+                             % (self.lift,))
 
     @property
     def positions(self):
@@ -395,13 +466,19 @@ class CoverMultiplicity:
     value: Fraction
 
 
+def _check_genus(genus, c, g):
+    """The structural genus 2g' = g - c + 1 of a quotient with c two-valent
+    positions; it holds when every position is 2- or 3-valent."""
+    if 2 * genus != g - c + 1:
+        raise ValueError("structural genus %d does not satisfy 2g' = g - c + 1 (g=%d, c=%d)"
+                         % (genus, g, c))
+
+
 def _weight(edges, shape, g):
     """The lift-independent factor prod_{2-valent v}(omega_v - 1) * prod
-    w(e) of a quotient's multiplicity, after checking the structural genus
-    2g' = g - c + 1 (it holds when every position is 2- or 3-valent)."""
-    if 2 * shape.genus != g - len(shape.omegas) + 1:
-        raise ValueError("structural genus %d does not satisfy 2g' = g - c + 1 (g=%d, c=%d)"
-                         % (shape.genus, g, len(shape.omegas)))
+    w(e) of a quotient's multiplicity, after checking the structural
+    genus."""
+    _check_genus(shape.genus, len(shape.omegas), g)
     return prod(wv - 1 for wv in shape.omegas.values()) * prod(w for _i, _j, _k, w in edges)
 
 
@@ -459,19 +536,28 @@ def _lift_factor(pairs, s):
 def count_tropical(d: int, g: int) -> Fraction:
     """Degree-d genus-g twisted count via the tropical pipeline: over each
     labelled graph, the sum of its nonzero-weight quotients' weight / prod
-    m!, times the graph's prod m! * sum 1/|Aut| (module docstring)."""
+    m!, times the graph's prod m! * sum 1/|Aut|, summed in integers over
+    the graph's own prod m! (module docstring)."""
     _check_point(d, g)
     s = g - 1
     total = Fraction(0)
     for t, c in vertex_profiles(g):
-        for graph in labelled_graphs(t, c, allow_loops=g == 2):
-            quotients = _decorations(graph.edges, s, d, counted=True)
-            if quotients:
-                weights = sum(
-                    Fraction(_weight(q, _shape(q, s), g), multiset_automorphisms(q))
-                    for q in quotients
-                )
-                total += weights * _lift_factor(graph.edges, s)
+        graphs = labelled_graphs(t, c, allow_loops=g == 2)
+        for pairs, valences, flows in _flows((graph.edges for graph in graphs), s, d, True):
+            _check_genus(len(pairs) - s + 1, valences.count(2), g)
+            if not flows:
+                continue
+            automorphisms = multiset_automorphisms(pairs)
+            # one edge at each two-valent position carries its omega
+            two = [n for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items()
+                   if valences[v] == 2]
+            weights = 0
+            for _net, spare, flow in flows:
+                weight = prod(w for _i, _j, w, _k in flow) * prod(flow[n][2] - 1 for n in two)
+                weights += weight * sum(automorphisms // runs
+                                        for _edges, runs in _crossings(flow, spare))
+            if weights:
+                total += Fraction(weights, automorphisms) * _lift_factor(pairs, s)
     return 2 ** (g - 1) * total
 
 

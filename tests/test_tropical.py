@@ -94,25 +94,21 @@ def test_lift_classes_frozen():
 
 
 def _brute_decorations(pairs, s, d):
-    """Every (orientation, 1 <= w <= d, k >= least k, w*k <= d) choice per
-    edge, kept when balanced with sum(w*k) = d, as sorted tuples."""
-    options = [
-        [(i, j, k, w)
-         for i, j in {(u, v), (v, u)}
-         for w in range(1, d + 1)
-         for k in range(0 if i < j else 1, d // w + 1)]
-        for u, v in pairs
-    ]
+    """Every (orientation, 1 <= w <= d) choice per edge, kept when
+    balanced, then every (k >= least k) choice per edge, kept when
+    sum(w*k) = d, as sorted tuples."""
+    options = [[(i, j, w) for i, j in {(u, v), (v, u)} for w in range(1, d + 1)] for u, v in pairs]
+    # a position's net weight, at most 3d either way, is one digit in base
+    # 6d + 1, so a flow balances exactly when its digits sum to 0
+    base = 6 * d + 1
+    nets = [[w * (base**i - base**j) for i, j, w in edge] for edge in options]
     found = set()
-    for edges in itertools.product(*options):
-        if sum(w * k for _i, _j, k, w in edges) != d:
+    for flow, net in zip(itertools.product(*options), map(sum, itertools.product(*nets))):
+        if net:
             continue
-        net = [0] * s
-        for i, j, _k, w in edges:
-            net[i] += w
-            net[j] -= w
-        if not any(net):
-            found.add(tuple(sorted(edges)))
+        for ks in itertools.product(*[range(int(i >= j), d // w + 1) for i, j, w in flow]):
+            if sum(w * k for (_i, _j, w), k in zip(flow, ks)) == d:
+                found.add(tuple(sorted((i, j, k, w) for (i, j, w), k in zip(flow, ks))))
     return sorted(found)
 
 
@@ -129,31 +125,68 @@ def test_decorations_match_brute_force():
                     assert sorted(fast) == _brute_decorations(graph.edges, g - 1, d), (graph, d)
                     checked += bool(fast)
     assert checked == 20  # of the 24 (graph, d) pairs
+    # a loop at a 3-valent position hangs on a bridge, which balance
+    # leaves without weight; here the loops are the edges that close 1, 2, 3,
+    # and from d = 5 on the pass has the weight to reach them
+    claw = ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3))
+    for d in range(1, 6):
+        assert tropical._decorations(claw, 4, d) == _brute_decorations(claw, 4, d) == []
 
 
 def test_counted_decorations_are_the_nonzero_weight_ones():
-    # the count's cut (w >= 2 at a two-valent position) drops exactly the
-    # quotients of weight 0, on the grid of the brute-force test above
-    dropped = 0
-    for g, d_max in ((2, 4), (3, 4), (4, 3)):
-        for d in range(1, d_max + 1):
+    # every profile's list walked whole, as the count and the export walk
+    # it: the shared flow pass yields each graph's quotients of the
+    # exhaustive search, each once, and with the count's cut (w >= 2 at a
+    # two-valent position) exactly those of nonzero weight
+    checked = dropped = 0
+    for g in (2, 3, 4, 5):
+        s = g - 1
+        for d in range(1, 5):
             for t, c in vertex_profiles(g):
-                for graph in labelled_graphs(t, c, allow_loops=g == 2):
-                    raw = tropical._decorations(graph.edges, g - 1, d)
-                    counted = tropical._decorations(graph.edges, g - 1, d, counted=True)
-                    brute = _brute_decorations(graph.edges, g - 1, d)
-                    weighs = [tropical._weight(q, tropical._shape(q, g - 1), g) > 0 for q in brute]
-                    kept = [q for q, w in zip(brute, weighs) if w]
-                    assert sorted(counted) == kept, (graph, d)
-                    zero = [q for q, w in zip(brute, weighs) if not w]
-                    assert sorted(set(raw) - set(counted)) == zero, (graph, d)
+                pairs = [graph.edges for graph in labelled_graphs(t, c, allow_loops=g == 2)]
+                walks = zip(tropical._flows(pairs, s, d, False), tropical._flows(pairs, s, d, True))
+                for (edges, _valences, flows), (_edges, _same, counted_flows) in walks:
+                    raw = tropical._quotients(flows)
+                    counted = tropical._quotients(counted_flows)
+                    brute = _brute_decorations(edges, s, d)
+                    assert len(set(raw)) == len(raw), (edges, d)
+                    assert sorted(raw) == brute, (edges, d)
+                    kept = [q for q in brute if tropical._weight(q, tropical._shape(q, s), g)]
+                    assert sorted(counted) == kept, (edges, d)
+                    checked += bool(raw)
                     dropped += len(raw) - len(counted)
-    assert dropped == 46  # zero-weight quotients the count never builds
+    assert (checked, dropped) == (92, 624)  # dropped: zero-weight quotients the count never builds
+
+
+def test_flow_pass_extends_each_shared_prefix_once(monkeypatch):
+    formed = []
+    extend = tropical._extend
+
+    def counting(level, *args):
+        out = extend(level, *args)
+        formed.append(len(out))
+        return out
+
+    monkeypatch.setattr(tropical, "_extend", counting)
+    # oracle: the graph sum, generating_series_coefficient(3, 6)
+    assert count_tropical(3, 6) == 240096
+    shared = sum(formed)
+    formed.clear()
+    for t, c in vertex_profiles(6):
+        for graph in labelled_graphs(t, c):
+            list(tropical._flows([graph.edges], 5, 3, True))
+    # walking each graph alone forms every partial flow of its prefixes again
+    assert shared == 9176 < sum(formed) == 20441
 
 
 def test_degree4_genus6_count():
     # symgroup (connected, with a raised budget) and the graph sum give it too
     assert count_tropical(4, 6) == 7558784
+
+
+def test_degree3_genus7_count():
+    # the graph sum gives it too
+    assert count_tropical(3, 7) == 2981952
 
 
 DESK = [(d, g) for d in (1, 2, 3) for g in (2, 3, 4, 5)]
@@ -441,7 +474,12 @@ def test_multiplicities_are_positive_dyadic_rationals():
 # -- validation and export -------------------------------------------------------
 
 
+THETA = ((0, 1, 0, 1), (0, 1, 0, 1), (1, 0, 1, 2))  # three e33 edges at d=2, g=3
+
+
 def test_constructor_and_argument_validation():
+    theta = QuotientCover(d=2, g=3, edges=THETA, lift=(0, 1, 1), lift_automorphisms=2)
+    assert theta.lift == (0, 1, 1)
     with pytest.raises(ValueError):
         QuotientCover(d=2, g=1, edges=(), lift=(), lift_automorphisms=1)
     with pytest.raises(ValueError, match="lift has 1 signs, expected 0"):
@@ -464,18 +502,25 @@ def test_constructor_and_argument_validation():
 
 
 @pytest.mark.parametrize(
-    "edges,aut",
+    "edges,lift,aut",
     [
-        (((0, 2, 0, 1), (2, 0, 1, 1)), 1),  # position 2 is not one of 0..1
-        (((0, -1, 0, 1), (-1, 0, 1, 1)), 1),
-        (((0, 1, 0, -2), (1, 0, 1, 2)), 1),  # weight < 1
-        (((0, 1, -1, 2), (1, 0, 1, 2)), 1),  # crossings < 0
-        (((0, 1, 0, 2), (1, 0, 1, 2)), 0),  # no automorphism at all
+        (((0, 2, 0, 1), (2, 0, 1, 1)), (), 1),  # position 2 is not one of 0..1
+        (((0, -1, 0, 1), (-1, 0, 1, 1)), (), 1),
+        (((0, 1, 0, -2), (1, 0, 1, 2)), (), 1),  # weight < 1
+        (((0, 1, -1, 2), (1, 0, 1, 2)), (), 1),  # crossings < 0
+        (((0, 1, 0, 2), (1, 0, 1, 2)), (), 0),  # no automorphism at all
+        (((0, 1, 0, 2), (1, 0, 1, 2)), (), 1.5),  # automorphisms are counted
+        (((0, 1, 0, 2), (1, 0, 1, 2)), (), 2.0),
+        (((0, 1, 0, 2), (1, 0, 1, 2)), (), True),
+        (THETA, (7, 7, 7), 1),  # a gluing sign is 0 (straight) or 1 (crossed)
+        (THETA, (0, 1, -1), 1),
+        (THETA, (0, 0, 1.0), 1),
+        (THETA, (0, 0, True), 1),
     ],
 )
-def test_malformed_covers_are_refused(edges, aut):
+def test_malformed_covers_are_refused(edges, lift, aut):
     with pytest.raises(ValueError):
-        QuotientCover(d=2, g=3, edges=edges, lift=(), lift_automorphisms=aut)
+        QuotientCover(d=2, g=3, edges=edges, lift=lift, lift_automorphisms=aut)
 
 
 def test_unbalanced_or_off_degree_covers_are_refused():
