@@ -4,9 +4,9 @@ A record is a flat dict, a ``RunRecord.as_dict()``; the fields in
 KEY_FIELDS identify the computation (method, parameters, tool version and
 — for the graph-sum pipeline — the derived normalization reading), the
 rest carry the result and timing.  ``RunRecord`` is defined here, next to
-the code that writes and reads its bytes: its annotated fields, in order,
-are the fields of a canonical line (LINE_FIELDS) and of every record the
-command line emits.  Lookups scan the file and the last matching line
+the code that writes and reads its bytes: its fields, in order, are the
+fields of a canonical line (LINE_FIELDS) and of every record the command
+line emits.  Lookups scan the file and the last matching line
 wins, so re-storing a key never requires rewriting the file.  Lines that
 fail to parse are reported as warnings and skipped: a damaged cache can
 cost a recomputation but never produce a wrong answer.
@@ -82,32 +82,38 @@ import os
 import re
 import threading
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import get_type_hints
+
+from .record import Record
 
 KEY_FIELDS = ("method", "d", "g", "connected", "tool_version", "normalization_reading")
 
+#: the fields of a ``RunRecord`` and of a canonical line, in the order
+#: ``store`` writes them, with the type each decodes to
+LINE_FIELDS = (
+    ("method", str),
+    ("d", int),
+    ("g", int),
+    ("connected", bool),
+    ("numerator", str),
+    ("denominator", str),
+    ("wall_time_ms", int),
+    ("tool_version", str),
+    ("normalization_reading", str),
+)
 
-@dataclass(frozen=True)
-class RunRecord:
+
+class RunRecord(Record):
     """One answered query: its KEY_FIELDS, its exact value as numerator and
-    denominator strings, and the milliseconds it took."""
+    denominator strings, and the milliseconds it took, as the fields named
+    in LINE_FIELDS."""
 
-    method: str
-    d: int
-    g: int
-    connected: bool
-    numerator: str
-    denominator: str
-    wall_time_ms: int
-    tool_version: str
-    normalization_reading: str
+    __slots__ = _fields = tuple(name for name, _ in LINE_FIELDS)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name, _ in LINE_FIELDS}
+        return dict(zip(self._fields, self._values(self)))
 
     @classmethod
     def from_dict(cls, record: dict) -> "RunRecord":
@@ -120,10 +126,6 @@ class RunRecord:
     def value(self) -> Fraction:
         return Fraction(int(self.numerator), int(self.denominator))
 
-
-#: the fields of a canonical line in the order ``store`` writes a
-#: ``RunRecord``, with the type each decodes to
-LINE_FIELDS = tuple(get_type_hints(RunRecord).items())
 
 #: canonical JSON spelling of a value of each type
 _SPELLING = {

@@ -93,13 +93,13 @@ query builds no table.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from . import perms
 from .fock import aut_count, partitions, parts_product
+from .record import Record
 
 DEFAULT_BUDGET = 10**9
 
@@ -121,11 +121,11 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class HurwitzResult:
-    tuple_count: int
-    normalization: int
-    value: Fraction
+class HurwitzResult(Record):
+    """A count: its tuples, the normalization they are divided by, and the
+    quotient as a Fraction."""
+
+    __slots__ = _fields = ("tuple_count", "normalization", "value")
 
 
 def _admit(d, g, budget, projected):

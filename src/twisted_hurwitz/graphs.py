@@ -17,10 +17,11 @@ the cover-multiplicity formulas divide by.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+
+from .record import Record
 
 
 def connected(n: int, pairs) -> bool:
@@ -45,24 +46,39 @@ def connected(n: int, pairs) -> bool:
     return components == 1
 
 
-@dataclass(frozen=True)
-class FeynmanGraph:
+class FeynmanGraph(Record):
     """Multigraph on vertices 0..vertex_count-1; edges are unordered pairs.
 
     ``edges`` is kept sorted with each pair (u, v) satisfying u <= v, so two
     equal graphs compare equal structurally.  A pair with u == v is a loop
-    and contributes 2 to the valence of u.
+    and contributes 2 to the valence of u.  ``vertex_count`` is an int (not
+    a bool) >= 0 and each edge a pair of ints in range; other input raises
+    TypeError or ValueError here.
     """
 
-    vertex_count: int
-    edges: tuple
+    __slots__ = _fields = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        norm = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        for u, v in norm:
-            if not (0 <= u <= v < self.vertex_count):
+    def __init__(self, vertex_count: int, edges):
+        if type(vertex_count) is not int:
+            raise TypeError("vertex_count must be an int, not %r" % (vertex_count,))
+        if vertex_count < 0:
+            raise ValueError("vertex_count must be >= 0, not %d" % vertex_count)
+        norm = []
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError) as error:
+                raise type(error)("edge %r is not a pair of vertices" % (edge,)) from None
+            if type(u) is not int or type(v) is not int:
+                raise TypeError("edge %r is not a pair of ints" % (edge,))
+            if u > v:
+                u, v = v, u
+            if not (0 <= u and v < vertex_count):
                 raise ValueError("edge (%r, %r) out of range" % (u, v))
-        object.__setattr__(self, "edges", norm)
+            norm.append((u, v))
+        norm.sort()
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", tuple(norm))
 
     def degrees(self) -> list:
         deg = [0] * self.vertex_count
@@ -78,10 +94,11 @@ class FeynmanGraph:
         return connected(self.vertex_count, self.edges)
 
 
-@dataclass(frozen=True)
-class GraphClass:
-    graph: FeynmanGraph
-    automorphism_count: int
+class GraphClass(Record):
+    """An isomorphism class: a representative graph and the order of its
+    automorphism group."""
+
+    __slots__ = _fields = ("graph", "automorphism_count")
 
 
 def vertex_profiles(g: int):

@@ -97,9 +97,8 @@ it graph by graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 from operator import xor
@@ -111,6 +110,7 @@ from .graphs import (
     multiset_automorphisms,
     vertex_profiles,
 )
+from .record import Record
 
 STRAIGHT, CROSSED = 0, 1
 
@@ -389,26 +389,23 @@ def lift_classes(edges, s):
 # covers and multiplicities
 
 
-@dataclass(frozen=True)
-class QuotientCover:
+class QuotientCover(Record):
     """A quotient cover together with one isomorphism class of double cover.
 
     `edges` is the sorted multiset of (i, j, k, w) tuples.  `lift` holds the
     gluing sign (0 straight / 1 crossed) for each edge index listed by
     e33_indices(edges), lexicographically minimal in its isomorphism class.
     The quotient must be balanced, of degree d over the base point and
-    connected, so its genus is never negative.
+    connected, so its genus is never negative.  ``shape``, computed once
+    here, is not a field.
     """
 
-    d: int
-    g: int
-    edges: tuple
-    lift: tuple
-    lift_automorphisms: int
+    _fields = ("d", "g", "edges", "lift", "lift_automorphisms")
+    __slots__ = _fields + ("shape",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))
-        object.__setattr__(self, "lift", tuple(self.lift))
+    def __init__(self, d: int, g: int, edges, lift, lift_automorphisms: int):
+        super().__init__(d, g, tuple(sorted(tuple(e) for e in edges)), tuple(lift),
+                         lift_automorphisms)
         if self.g < 2:
             raise ValueError("quotient covers need g >= 2")
         for i, j, k, w in self.edges:
@@ -427,6 +424,7 @@ class QuotientCover:
         if type(self.lift_automorphisms) is not int or self.lift_automorphisms < 1:
             raise ValueError("lift_automorphisms must be an int >= 1, not %r"
                              % (self.lift_automorphisms,))
+        object.__setattr__(self, "shape", _shape(self.edges, self.positions))
         if len(self.lift) != len(self.shape.e33):
             raise ValueError("lift has %d signs, expected %d"
                              % (len(self.lift), len(self.shape.e33)))
@@ -437,10 +435,6 @@ class QuotientCover:
     @property
     def positions(self):
         return self.g - 1
-
-    @cached_property
-    def shape(self):
-        return _shape(self.edges, self.positions)
 
     def valences(self):
         return self.shape.valences
@@ -461,9 +455,10 @@ class QuotientCover:
         return sum(w * k for _i, _j, k, w in self.edges)
 
 
-@dataclass(frozen=True)
-class CoverMultiplicity:
-    value: Fraction
+class CoverMultiplicity(Record):
+    """The multiplicity of one twisted cover."""
+
+    __slots__ = _fields = ("value",)
 
 
 def _check_genus(genus, c, g):

@@ -64,8 +64,32 @@ def test_genus_requires_connected():
 def test_edge_normalization_and_validation():
     g = FeynmanGraph(3, ((2, 1), (1, 0)))
     assert g.edges == ((0, 1), (1, 2))
+    assert FeynmanGraph(2, [[1, 0], [1, 1]]).edges == ((0, 1), (1, 1))
+    assert FeynmanGraph(0, ()).degrees() == []
     with pytest.raises(ValueError):
         FeynmanGraph(2, ((0, 2),))
+
+
+@pytest.mark.parametrize("vertex_count,edges,error,message", [
+    (2.5, ((0, 1),), TypeError, "vertex_count must be an int"),
+    (2.0, (), TypeError, "vertex_count must be an int"),
+    (True, (), TypeError, "vertex_count must be an int"),
+    ("2", (), TypeError, "vertex_count must be an int"),
+    (-1, (), ValueError, "vertex_count must be >= 0"),
+    (3, ((0, 1, 2),), ValueError, "not a pair of vertices"),
+    (3, ((0,),), ValueError, "not a pair of vertices"),
+    (3, (0,), TypeError, "not a pair of vertices"),
+    (3, ((0, 1.0),), TypeError, "not a pair of ints"),
+    (3, ((True, 1),), TypeError, "not a pair of ints"),
+    (3, (("0", "1"),), TypeError, "not a pair of ints"),
+    (3, ("01",), TypeError, "not a pair of ints"),
+    (2, ((0, 2),), ValueError, "out of range"),
+    (2, ((-1, 0),), ValueError, "out of range"),
+    (0, ((0, 0),), ValueError, "out of range"),
+])
+def test_feynman_graph_refuses_bad_input(vertex_count, edges, error, message):
+    with pytest.raises(error, match=message):
+        FeynmanGraph(vertex_count, edges)
 
 
 @pytest.mark.parametrize("t,c", [(2, 0), (0, 3), (2, 1), (2, 2), (4, 0), (0, 4)])
