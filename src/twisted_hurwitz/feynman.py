@@ -57,37 +57,35 @@ G isomorphic to C arises from |VAut(C)| orders, so
 
 As |Aut(C)| = |VAut(C)| * prod m! over the parallel-edge multiplicities m,
 a class's term f(C, pi) / |Aut(C)| splits into one term per labelled
-graph, f(G, identity) / prod m!(G).  So the sum runs over
-``graphs.labelled_graphs`` under the identity order, with no canonical
-form or automorphism search.
+graph, f(G, identity) / prod m!(G).  So the sum runs over the labelled
+graphs, the leaves of ``graphs.edge_tree``, under the identity order,
+with no canonical form or automorphism search.
 
-Shared prefixes.  ``_factors`` decides, for each edge of a graph in
-index order, everything its product step needs: the orientation (the
+Shared prefixes.  Each edge's product step needs the orientation (the
 tail is the endpoint earlier in the order), the designations (a 2-valent
 vertex designates its first edge), the pruning limit at either end (what
 the later edges can still cancel there, at most d per edge end not yet
-placed) and the propagator, and yields the propagator bound to that
+placed) and the propagator; ``_integer_factor`` reads them off the
+endpoints' valences and open ends and binds the propagator to that
 placement (``TruncatedSeries.bound``).  A product with a bound factor
 forms only the term pairs whose exponents at the edge's tail and head
 stay within the limits, so no term the later edges could not cancel is
 ever built: at (4,7) the products form 288,275 pairs for 209,583 kept
 terms, where multiplying first and filtering after formed 1,806,851.
-``_integrand``, ``_multidegree_integrals`` and ``_walk`` are each a fold
-of the product over ``_factors``.  Under the identity
-order an edge (u, v), u < v, runs from u to v, and its integer factor
-depends only on (vertex count, tail, head, d, whether an endpoint is
-2-valent, designation count): that key fixes every exponent and every
-c_w, and ``_integer_propagator`` builds each propagator once.
-``labelled_graphs`` lists a profile's graphs depth first, so consecutive
-graphs with the same placement of the valences share an edge prefix, and
-``_walk`` keeps the previous graph's partial products on a stack and
-multiplies only the edges after the common prefix, where ``_factors``
-only counts placements.  An empty partial product makes the value 0 for
-its graph and every later graph that shares the prefix, so the stack
-grows only from a non-empty one: 1,286 series products at (3,6) instead
-of one per edge, 3,030, and 20,065 at (4,7) instead of 58,590.  Each
-partial product is the one ``_integrand`` forms under the identity
-order, so both give every graph the same value.
+Under the identity order an edge (u, v), u < v, runs from u to v, and
+its integer factor depends only on (vertex count, tail, head, d, whether
+an endpoint is 2-valent, designation count): that key fixes every
+exponent and every c_w, and ``_integer_propagator`` builds each
+propagator once.  ``_balanced_sums`` walks ``graphs.edge_tree``, whose
+node is an edge with the open ends it leaves, so every graph's product
+of its first k edges is formed once, at the node that ends that prefix,
+and serves every graph below it.  An empty partial product makes the
+value 0 for every graph below, so the walk cuts the subtree there: 1,286
+series products at (3,6) instead of one per edge, 3,030, and 20,065 at
+(4,7) instead of 58,590.  ``_integrand`` and ``_multidegree_integrals``
+fold the same product over one graph's edges in any vertex order
+(``_factors``), so the walk and ``_integrand`` give every graph the same
+value.
 
 The prefactor is derived, not fitted.  The count is
 
@@ -128,7 +126,7 @@ numerical noise.
 
 Each labelled graph's term is a pure function of the graph, whose work
 the walk shares only through equal prefixes; results are combined by
-exact arithmetic in a deterministic order.
+exact arithmetic in the tree's fixed order.
 """
 
 from __future__ import annotations
@@ -139,7 +137,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .factorizations import count_twisted
-from .graphs import FeynmanGraph, GraphClass, labelled_graphs, multiset_automorphisms
+from .graphs import FeynmanGraph, GraphClass, multiset_automorphisms, walk_tree
 # no counting path calls enumerate_graphs; the name stays because the
 # graphs.enumerate probe in perfbench/probes.py wraps feynman.enumerate_graphs
 from .graphs import enumerate_graphs  # noqa: F401
@@ -267,11 +265,10 @@ def _integer_propagator(vertex_count: int, tail: int, head: int, cap: int,
                          for w in range(1, cap + 1)])
 
 
-def _factors(edges, degrees, rank, cap: int, integer: bool, shared: int = 0):
+def _factors(edges, degrees, rank, cap: int, integer: bool):
     """Yield the propagator of each of a graph's ``edges`` in index order,
     in the integer rule or the radical one, bound to the edge's tail,
-    head and their limits (``TruncatedSeries.bound``), from edge
-    ``shared`` on; the edges before it are only counted.
+    head and their limits (``TruncatedSeries.bound``).
 
     ``degrees`` are the graph's valences and ``rank[v]`` is the position of
     vertex v in the vertex order (see ``_ranks``); the tail is the
@@ -281,25 +278,30 @@ def _factors(edges, degrees, rank, cap: int, integer: bool, shared: int = 0):
     head, and every other vertex keeps its limit from the previous edge,
     so a product with it checks only those two."""
     n = len(degrees)
-    placed = [0] * n  # edge ends placed so far at each vertex
+    left = list(degrees)  # edge ends still to be placed at each vertex
     for k, (tail, head) in enumerate(edges):
-        placed[tail] += 1
-        placed[head] += 1
-        if k < shared:
-            continue
+        left[tail] -= 1
+        left[head] -= 1
         if rank[tail] > rank[head]:
             tail, head = head, tail
-        tail_valence, head_valence = degrees[tail], degrees[head]
         if integer:
-            # a 2-valent vertex designates its first edge (module docstring)
-            designations = ((tail_valence == 2 and placed[tail] == 1)
-                            + (head_valence == 2 and placed[head] == 1))
-            factor = _integer_propagator(n, tail, head, cap, 2 in (tail_valence, head_valence),
-                                         designations)
+            yield _integer_factor(n, tail, head, cap, degrees[tail], degrees[head],
+                                  left[tail], left[head])
         else:
-            factor = propagator(OrientedEdge(k, tail, head, tail_valence, head_valence, n), cap)
-        yield factor.bound(tail, head, (tail_valence - placed[tail]) * cap,
-                           (head_valence - placed[head]) * cap)
+            factor = propagator(OrientedEdge(k, tail, head, degrees[tail], degrees[head], n), cap)
+            yield factor.bound(tail, head, left[tail] * cap, left[head] * cap)
+
+
+def _integer_factor(n: int, tail: int, head: int, cap: int, tail_valence: int,
+                    head_valence: int, tail_left: int, head_left: int) -> TruncatedSeries:
+    """The integer rule's propagator from ``tail`` to ``head`` bound to
+    their limits, with ``tail_left`` and ``head_left`` edge ends still to
+    be placed there; a 2-valent vertex designates its first edge (module
+    docstring), the one that leaves it one end open."""
+    designations = (tail_valence == 2 and tail_left == 1) + (head_valence == 2 and head_left == 1)
+    factor = _integer_propagator(n, tail, head, cap, 2 in (tail_valence, head_valence),
+                                 designations)
+    return factor.bound(tail, head, tail_left * cap, head_left * cap)
 
 
 def _graph_of(graph_or_class) -> FeynmanGraph:
@@ -312,8 +314,8 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
 
 def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
     """x-balanced part of the propagator product under one vertex order, in
-    the integer rule: one graph's product for any order, where ``_walk``
-    serves the identity order.
+    the integer rule: one graph's product for any order, where the walk of
+    ``_balanced_sums`` serves the identity order.
 
     Each product with a bound factor of ``_factors`` forms only the terms
     whose x-exponent at every vertex stays within what the remaining
@@ -438,55 +440,30 @@ def direct_cover_sum(graph_class, order, a) -> RadicalScalar:
 _READING = "2^(g-1) multiplies, #Aut divides"
 
 
-def _walk(graphs, d: int) -> list:
-    """f(G, identity) at degree d for each loopless graph G, in the order
-    given, in the integer rule.
-
-    The partial products of the previous graph's edges stay on a stack, so
-    a graph with the previous one's valences multiplies only the edges
-    after their common prefix (module docstring, "Shared prefixes"), each
-    by its bound factor from ``_factors``, which keeps the product within
-    the edge's limits, and none after an empty partial product."""
-    values = []
-    stack = []  # stack[k]: the product of the first k edges
-    previous, previous_degrees = (), None
-    for graph in graphs:
-        edges, n = graph.edges, graph.vertex_count
-        degrees = graph.degrees()
-        shared = 0
-        if degrees == previous_degrees:
-            for edge, before in zip(edges, previous):
-                if edge != before:
-                    break
-                shared += 1
-        else:
-            stack = [TruncatedSeries.constant(n, d, 1)]
-            identity = list(range(n))  # the identity order is its own rank
-        del stack[shared + 1:]
-        if stack[-1]:  # an empty partial product stays empty
-            for factor in _factors(edges, degrees, identity, d, True, len(stack) - 1):
-                stack.append(stack[-1] * factor)
-                if not stack[-1]:
-                    break
-        values.append(stack[-1].coefficient(d, (0,) * n))
-        previous, previous_degrees = edges, degrees
-    return values
-
-
 @lru_cache(maxsize=None)
 def _balanced_sums(t: int, c: int, d: int) -> MappingProxyType:
-    """Map each labelled graph of the profile (t, c), in
-    ``labelled_graphs`` order, to its f(G, identity) at degree d; read-only,
-    as every caller gets the same cached mapping."""
-    graphs = labelled_graphs(t, c)
-    return MappingProxyType(dict(zip(graphs, _walk(graphs, d))))
+    """Map the edge tuple of each labelled graph of the profile (t, c)
+    whose f(G, identity) at degree d is nonzero to that value; read-only,
+    as every caller gets the same cached mapping.
 
+    One walk of ``graphs.edge_tree``: the state at a node is the product
+    of the bound factors of the edges on its path (module docstring,
+    "Shared prefixes"), and an empty product cuts the subtree below."""
+    n = t + c
+    zero_x = (0,) * n
+    sums = {}
 
-def _balanced_sum(graph: FeynmanGraph, d: int) -> int:
-    """f(graph, identity): the degree-d balanced coefficient under the
-    identity vertex order, in the integer rule, as the count adds it."""
-    degrees = graph.degrees()
-    return _balanced_sums(degrees.count(3), degrees.count(2), d)[graph]
+    def step(series, valences, v, u, left_v, left_u, _parallel):
+        # under the identity order the edge (v, u), v < u, runs from v to u
+        return series * _integer_factor(n, v, u, d, valences[v], valences[u], left_v, left_u)
+
+    def leaf(series, _valences, edges):
+        value = series.coefficient(d, zero_x)
+        if value:
+            sums[edges] = value
+
+    walk_tree(t, c, False, TruncatedSeries.constant(n, d, 1), step, leaf)
+    return MappingProxyType(sums)
 
 
 def _assemble(d: int, g: int) -> Fraction:
@@ -494,8 +471,8 @@ def _assemble(d: int, g: int) -> Fraction:
     for t, c in _vertex_profiles(g):
         quotient_genus = t // 2 + 1
         weight = Fraction(2 ** quotient_genus - (1 if c == 0 else 0), 2 ** (c + 1))
-        for graph, value in _balanced_sums(t, c, d).items():
-            total += weight * Fraction(value, multiset_automorphisms(graph.edges))
+        for edges, value in _balanced_sums(t, c, d).items():
+            total += weight * Fraction(value, multiset_automorphisms(edges))
     return total * 2 ** (g - 1)
 
 

@@ -2,11 +2,17 @@
 
 These are the combinatorial types underlying quotient covers: vertices of
 valence 3 (simple branch vertices) and valence 2 (images of 4-valent
-vertices upstairs).  Both graph pipelines run over ``labelled_graphs``:
-every such graph on the positions 0..s-1, for every placement of the
-valences, each edge multiset once.  ``enumerate_graphs`` gives isomorphism
-classes (3-valent vertices first) by a minimal canonical form over the
-degree-preserving vertex bijections; no counting path needs them.
+vertices upstairs).  Both graph pipelines sum over every such graph on
+the positions 0..s-1, for every placement of the valences, each edge
+multiset once.  ``edge_tree`` holds them as one cached enumeration tree
+per profile, in which graphs that share their first edges share the path
+of those edges, and both counts walk it with ``walk_tree``: each keeps
+one state per edge prefix and cuts a subtree as soon as its state is
+empty.  ``labelled_graphs`` lists the tree's leaves as FeynmanGraphs, for
+``enumerate_graphs`` and per-graph checks; no counting path builds it.
+``enumerate_graphs`` gives isomorphism classes (3-valent vertices first)
+by a minimal canonical form over the degree-preserving vertex bijections;
+no counting path needs them either.
 
 Automorphism counts are multigraph automorphisms: vertex bijections fixing
 the edge multiset, times permutations of parallel edges, times a factor 2
@@ -189,24 +195,28 @@ def canonical_form(graph: FeynmanGraph) -> tuple:
     return best
 
 
-def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
-    """Every connected multigraph on the positions 0..s-1 with
-    `three_valent` vertices of valence 3 and `two_valent` of valence 2, for
-    every choice of the 3-valent positions, each edge multiset once.
+def edge_tree(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
+    """The enumeration tree of every connected multigraph on the positions
+    0..s-1 with `three_valent` vertices of valence 3 and `two_valent` of
+    valence 2, each edge multiset once: one (valences, nodes) root per
+    choice of the 3-valent positions.
 
-    The least vertex with open valence takes the next edge; its partner is
-    itself (a loop) or a later open vertex, never smaller than the partner
-    of the edge it took before.  So a multiset is built in one way only,
-    vertex by vertex in sorted edge order, and needs no canonical form.
-
-    The list is cached per profile: every spelling of a call (loops
-    passed by position, by keyword or left out) shares one entry.
+    The least vertex v with open valence takes the next edge; its partner
+    u is v itself (a loop) or a later open vertex, never smaller than the
+    partner of the edge v took before.  So a multiset is built in one way
+    only, in sorted edge order, and needs no canonical form.  A node is
+    (v, u, open ends left at v, at u, parallel to the edge before,
+    children), and the path from its root spells the first edges of every
+    graph below it.  Only subtrees that end in a connected graph are kept,
+    so every node has a leaf below it, and the leaves are the nodes
+    without children.  Cached per profile: every spelling of a call
+    (loops passed by position, by keyword or left out) shares one entry.
     """
-    return _labelled_graphs(three_valent, two_valent, bool(allow_loops))
+    return _edge_tree(three_valent, two_valent, bool(allow_loops))
 
 
 @lru_cache(maxsize=None)
-def _labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
+def _edge_tree(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
     if three_valent < 0 or two_valent < 0 or three_valent + two_valent < 1:
         raise ValueError("need a positive number of vertices")
     total = 3 * three_valent + 2 * two_valent
@@ -216,30 +226,79 @@ def _labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool) -> t
             "vertices" % (total, three_valent, two_valent)
         )
     s = three_valent + two_valent
-    out = []
     chosen = []
 
     def rec(v, floor):
+        """The nodes below the edges in `chosen`, () at a connected leaf,
+        None when no connected graph lies below."""
         while v < s and remaining[v] == 0:
             v, floor = v + 1, v + 1
         if v == s:
-            if connected(s, chosen):
-                out.append(FeynmanGraph(s, tuple(chosen)))
-            return
+            return () if connected(s, chosen) else None
+        nodes = []
         for u in range(floor, s):
             if remaining[u] < 1 + (u == v) or (u == v and not allow_loops):
                 continue
+            parallel = bool(chosen) and chosen[-1] == (v, u)
             remaining[v] -= 1
             remaining[u] -= 1
             chosen.append((v, u))
-            rec(v, u)
+            children = rec(v, u)
+            if children is not None:
+                nodes.append((v, u, remaining[v], remaining[u], parallel, children))
             chosen.pop()
             remaining[v] += 1
             remaining[u] += 1
+        return tuple(nodes) or None
 
+    roots = []
     for placed in combinations(range(s), three_valent):
-        remaining = [3 if v in placed else 2 for v in range(s)]
-        rec(0, 0)
+        valences = tuple(3 if v in placed else 2 for v in range(s))
+        remaining = list(valences)
+        nodes = rec(0, 0)
+        if nodes:
+            roots.append((valences, nodes))
+    return tuple(roots)
+
+
+def walk_tree(three_valent: int, two_valent: int, allow_loops: bool, start, step, leaf) -> None:
+    """Walk ``edge_tree`` depth first from the state `start` at each root.
+
+    At each node, ``step(state, valences, v, u, left_v, left_u, parallel)``
+    turns the state of the path above into the state of the path through
+    the node, once per edge prefix; a falsy state cuts the subtree below.
+    At a leaf, ``leaf(state, valences, edges)`` receives the graph's sorted
+    edge pairs."""
+    path = []
+
+    def descend(nodes, state, valences):
+        for v, u, left_v, left_u, parallel, children in nodes:
+            below = step(state, valences, v, u, left_v, left_u, parallel)
+            if not below:
+                continue
+            path.append((v, u))
+            if children:
+                descend(children, below, valences)
+            else:
+                leaf(below, valences, tuple(path))
+            path.pop()
+
+    for valences, nodes in edge_tree(three_valent, two_valent, allow_loops):
+        descend(nodes, start, valences)
+
+
+def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
+    """The leaves of ``edge_tree`` as FeynmanGraphs, in walk order, cached
+    per profile like the tree."""
+    return _labelled_graphs(three_valent, two_valent, bool(allow_loops))
+
+
+@lru_cache(maxsize=None)
+def _labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
+    s = three_valent + two_valent
+    out = []
+    walk_tree(three_valent, two_valent, allow_loops, True, lambda *_edge: True,
+              lambda _state, _valences, edges: out.append(FeynmanGraph(s, edges)))
     return tuple(out)
 
 

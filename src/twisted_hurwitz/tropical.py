@@ -21,21 +21,21 @@ covers differing by which branch point a vertex sits over are distinct.
 
 The quotients are built from graphs rather than searched edge by edge:
 every connected multigraph on the positions with one 2- or 3-valent
-vertex per position, from graphs.labelled_graphs (the list the graph sum
-integrates over), is decorated balanced flow first, crossings after.  The
+vertex per position, a leaf of graphs.edge_tree (the tree the graph sum
+walks too), is decorated balanced flow first, crossings after.  The
 flow gives each edge an orientation and a weight w <= d; the last edge at
 a vertex must balance it, so its orientation and weight are read from the
 balance rather than searched (a loop moves no weight and tries every w),
 and a backward edge's weight is charged against d, as its k is at least
 1.  Only then are the crossing counts k placed under sum(w*k) = d, so
 the balance is not searched again for each choice of crossings.  Nor is
-it searched again for each graph: the list comes in enumeration order,
-so consecutive graphs with the same valences share an edge prefix, and
-the partial flows over that prefix are kept and extended by each graph
-that shares it (_flows).  The balance is searched once per shared edge
-prefix of the list.  Loops occur only at g = 2: a loop balances only at
-a lone 2-valent vertex, while at a 3-valent vertex it leaves the third
-germ unbalanced.
+it searched again for each graph: the partial flows over a path of the
+tree are formed once, at the node that ends it, by one _extend step
+from those of its parent, and serve every graph below; a node with no
+partial flow cuts its subtree.  The balance is searched once per edge
+prefix.  Loops occur only at g = 2: a loop balances only at a lone
+2-valent vertex, while at a 3-valent vertex it leaves the third germ
+unbalanced.
 
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
@@ -98,28 +98,24 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import prod
 from operator import xor
-from typing import NamedTuple
 
-from .graphs import (
-    connected,
-    labelled_graphs,
-    multiset_automorphisms,
-    vertex_profiles,
-)
+from .graphs import connected, multiset_automorphisms, vertex_profiles, walk_tree
 from .record import Record
 
 STRAIGHT, CROSSED = 0, 1
 
 
-class _Shape(NamedTuple):
-    valences: tuple  # germs at each position
-    omegas: dict  # 2-valent position -> its germ weight omega_v
-    e33: tuple  # indices of the edges whose endpoints are both doubled
-    genus: int  # g' = #edges - #positions + 1; c = len(omegas)
+class _Shape(Record):
+    """A quotient's germs at each position (valences), its 2-valent
+    positions' germ weights omega_v (omegas), the indices of its edges
+    whose endpoints are both doubled (e33) and g' = #edges - #positions + 1
+    (genus); c = len(omegas)."""
+
+    __slots__ = _fields = ("valences", "omegas", "e33", "genus")
 
 
 def _shape(edges, s):
@@ -155,22 +151,25 @@ def _enumerate_multisets(d, g):
     3-valent vertex per position, as sorted tuples, ascending: labelled
     graphs (loops only at g = 2) x their decorations, balanced flow
     first and crossings after, without the count's cut."""
-    s = g - 1
-    return sorted(
-        edges
-        for t, c in vertex_profiles(g)
-        for _pairs, _valences, flows in _flows(
-            (graph.edges for graph in labelled_graphs(t, c, allow_loops=g == 2)), s, d, False
-        )
-        for edges in _quotients(flows)
-    )
+    found = []
+    for t, c in vertex_profiles(g):
+        walk_tree(t, c, g == 2, [((0,) * (g - 1), d, ())], partial(_extend, d, False),
+                  lambda flows, _valences, _pairs: found.extend(_quotients(flows)))
+    return sorted(found)
 
 
 def _decorations(pairs, s, d):
     """The edge multisets (i, j, k, w) of the one graph with the sorted
     edge pairs `pairs`: sum of w*k equal to d, balanced at every position,
-    each once, as sorted tuples (see _flows)."""
-    ((_pairs, _valences, flows),) = _flows([pairs], s, d, False)
+    each once, as sorted tuples: ``_extend`` folded over the pairs."""
+    valences = [sum(pair.count(x) for pair in pairs) for x in range(s)]
+    left = list(valences)
+    flows = [((0,) * s, d, ())]
+    for n, (u, v) in enumerate(pairs):
+        left[u] -= 1
+        left[v] -= 1
+        flows = _extend(d, False, flows, valences, u, v, left[u], left[v],
+                        n > 0 and pairs[n - 1] == (u, v))
     return _quotients(flows)
 
 
@@ -179,61 +178,23 @@ def _quotients(flows):
     return [edges for _net, spare, flow in flows for edges, _runs in _crossings(flow, spare)]
 
 
-def _flows(pair_lists, s, d, cut):
-    """Yield (pairs, valences, flows) for the sorted edge pairs of each
-    graph in `pair_lists`, in order: the graph's balanced flows, each as
-    (net, spare, flow), with flow the (i, j, w, least k) of every edge
-    and spare what is left of d over the least k.  With `cut`, an edge at
-    a two-valent position takes w >= 2 (the count's cut).
+def _extend(d, cut, level, valences, u, v, left_u, left_v, parallel):
+    """The partial flows of `level` followed by the edge (u, v), a step of
+    ``graphs.walk_tree``: each as (net, spare, flow), with flow the
+    (i, j, w, least k) of every edge so far and spare what is left of d
+    over the least k.  With `cut`, an edge at a two-valent position takes
+    w >= 2 (the count's cut).
 
     The flow gives each edge an orientation and a weight w <= d.  A
-    position's balance is checked as soon as its last incident edge is
-    placed, and a closing non-loop edge takes the one orientation and
+    position's balance is checked when its last edge is placed (no open
+    end left), and a closing non-loop edge takes the one orientation and
     weight that balance it (a loop moves no weight and tries every w).  A
     backward edge (i >= j) needs k >= 1, so its weight is charged against
     d, and a flow whose backward weights would exceed d is cut.  Parallel
     edges take non-decreasing (i, j), so _crossings builds each multiset
-    once.
-
-    Which positions an edge closes, whether it is parallel to the edge
-    before and its least weight depend only on the valences and the edges
-    before it.  So levels[k], the partial flows over the first k edges,
-    serves every graph with the same valences and first k edges, and
-    each graph extends only the levels past the prefix it shares with the
-    graph before."""
-    levels = []
-    previous, previous_valences = (), None
-    for pairs in pair_lists:
-        valences = [0] * s
-        for u, v in pairs:
-            valences[u] += 1
-            valences[v] += 1
-        shared = 0
-        if valences == previous_valences:
-            for pair, before in zip(pairs, previous):
-                if pair != before:
-                    break
-                shared += 1
-        else:
-            levels = [[((0,) * s, d, ())]]
-        del levels[shared + 1:]
-        placed = [0] * s
-        for n, (u, v) in enumerate(pairs):
-            placed[u] += 1
-            placed[v] += 1
-            if n >= shared:
-                closes = [x for x in {u, v} if placed[x] == valences[x]]
-                lightest = 2 if cut and 2 in (valences[u], valences[v]) else 1
-                parallel = n > 0 and pairs[n - 1] == (u, v)
-                levels.append(_extend(levels[-1], u, v, closes, parallel, lightest, d))
-        yield pairs, valences, levels[-1]
-        previous, previous_valences = pairs, valences
-
-
-def _extend(level, u, v, closes, parallel, lightest, d):
-    """The partial flows of `level` followed by the edge (u, v) of weight
-    at least `lightest`, where `closes` lists the positions that the edge
-    is the last to meet, by the rules in _flows' docstring."""
+    once."""
+    closes = [x for x, left in {u: left_u, v: left_v}.items() if not left]  # a loop: one x
+    lightest = 2 if cut and 2 in (valences[u], valences[v]) else 1
     out = []
     if u != v and closes:
         # the edge that closes x leaves x when more weight enters x
@@ -339,7 +300,8 @@ def lift_classes(edges, s):
     connectivity, an orbit invariant like the coinciding pairs.  So the
     orbits open in ascending order of their representatives.
     """
-    valences, omegas, e33, _genus = _shape(edges, s)
+    shape = _shape(edges, s)
+    valences, omegas, e33 = shape.valences, shape.omegas, shape.e33
     glued = [edges[x] for x in e33]
     # lift vertex numbers: (v,+) is plus[v] and (v,-) is minus[v]; (v,o) is both
     plus, minus, n = {}, {}, 0
@@ -536,23 +498,24 @@ def count_tropical(d: int, g: int) -> Fraction:
     _check_point(d, g)
     s = g - 1
     total = Fraction(0)
+
+    def leaf(flows, valences, pairs):
+        nonlocal total
+        _check_genus(len(pairs) - s + 1, valences.count(2), g)
+        automorphisms = multiset_automorphisms(pairs)
+        # one edge at each two-valent position carries its omega
+        two = [n for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items()
+               if valences[v] == 2]
+        weights = 0
+        for _net, spare, flow in flows:
+            weight = prod(w for _i, _j, w, _k in flow) * prod(flow[n][2] - 1 for n in two)
+            weights += weight * sum(automorphisms // runs
+                                    for _edges, runs in _crossings(flow, spare))
+        if weights:
+            total += Fraction(weights, automorphisms) * _lift_factor(pairs, s)
+
     for t, c in vertex_profiles(g):
-        graphs = labelled_graphs(t, c, allow_loops=g == 2)
-        for pairs, valences, flows in _flows((graph.edges for graph in graphs), s, d, True):
-            _check_genus(len(pairs) - s + 1, valences.count(2), g)
-            if not flows:
-                continue
-            automorphisms = multiset_automorphisms(pairs)
-            # one edge at each two-valent position carries its omega
-            two = [n for v, n in {v: n for n, e in enumerate(pairs) for v in e}.items()
-                   if valences[v] == 2]
-            weights = 0
-            for _net, spare, flow in flows:
-                weight = prod(w for _i, _j, w, _k in flow) * prod(flow[n][2] - 1 for n in two)
-                weights += weight * sum(automorphisms // runs
-                                        for _edges, runs in _crossings(flow, spare))
-            if weights:
-                total += Fraction(weights, automorphisms) * _lift_factor(pairs, s)
+        walk_tree(t, c, g == 2, [((0,) * s, d, ())], partial(_extend, d, True), leaf)
     return 2 ** (g - 1) * total
 
 

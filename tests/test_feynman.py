@@ -248,9 +248,13 @@ def test_factor_limits_count_the_edge_ends_still_to_come():
     # each factor is bound to (tail, head, tail limit, head limit)
     assert [factor.limits[:2] for factor in steps] == [(1, 0)] * 3
     assert [factor.limits[2:] for factor in steps] == [(4, 4), (2, 2), (0, 0)]
-    # the shared edges are counted, not yielded
-    shared = feynman._factors(theta.edges, degrees, (0, 1), 2, True, 2)
-    assert [factor.limits[2:] for factor in shared] == [(0, 0)]
+
+
+def _balanced_sum(graph, d):
+    """f(graph, identity): the degree-d balanced coefficient under the
+    identity vertex order, in the integer rule, as the count adds it."""
+    degrees = graph.degrees()
+    return feynman._balanced_sums(degrees.count(3), degrees.count(2), d).get(graph.edges, 0)
 
 
 def _class_of(graph):
@@ -280,7 +284,7 @@ def test_order_sum_is_the_labelled_identity_sum():
                         feynman._integrand(graph, order, d).coefficient(d, zero_x)
                         for order in itertools.permutations(range(graph.vertex_count))
                     )
-                    labelled = sum(feynman._balanced_sum(G, d) for G in by_class[graph.edges])
+                    labelled = sum(_balanced_sum(G, d) for G in by_class[graph.edges])
                     assert full == len(vertex_automorphisms(graph)) * labelled, (graph, d)
 
 
@@ -299,7 +303,7 @@ def test_balanced_sum_is_the_oracle_summed_over_multidegrees():
                         ),
                         Fraction(0),
                     )
-                    assert Fraction(feynman._balanced_sum(graph, d)) == oracle, (graph, d)
+                    assert Fraction(_balanced_sum(graph, d)) == oracle, (graph, d)
 
 
 def test_balanced_sum_builds_no_radicals(monkeypatch):
@@ -312,17 +316,18 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
     feynman._integer_propagator.cache_clear()
     monkeypatch.setattr(RadicalScalar, "__init__", counting_init)
+    feynman._balanced_sums.cache_clear()
     for g in (3, 4, 5):
         for t, c in vertex_profiles(g):
             for d in (1, 2, 3):
-                feynman._walk(labelled_graphs(t, c), d)
+                feynman._balanced_sums(t, c, d)
     assert built == []
     direct_cover_sum(_theta(), (0, 1), (3, 0, 0))  # the probe does count
     assert built
 
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
-    graphs._labelled_graphs.cache_clear()
+    graphs._edge_tree.cache_clear()
     feynman._balanced_sums.cache_clear()
     feynman._integer_propagator.cache_clear()
 
@@ -338,16 +343,24 @@ def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch
     assert tropical.count_tropical(3, 5) == 20496
 
 
-def test_both_graph_pipelines_share_one_labelled_list():
-    plain = graphs.labelled_graphs(4, 2)
-    assert plain is graphs.labelled_graphs(4, 2, False)
-    assert plain is graphs.labelled_graphs(4, 2, allow_loops=False)
+def test_counting_paths_build_no_graph_list(monkeypatch):
+    # both pipelines walk one cached edge tree per profile and never list
+    # the profile's graphs
+    graphs._edge_tree.cache_clear()
     graphs._labelled_graphs.cache_clear()
-    tropical.count_tropical(2, 5)
-    misses = graphs._labelled_graphs.cache_info().misses
-    assert misses > 0
-    generating_series_coefficient(1, 5)
-    assert graphs._labelled_graphs.cache_info().misses == misses
+    feynman._balanced_sums.cache_clear()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a counting path built a FeynmanGraph")
+
+    monkeypatch.setattr(graphs, "FeynmanGraph", forbidden)
+    # oracle: the symmetric-group count, count_twisted(2, 5, connected=True)
+    assert tropical.count_tropical(2, 5) == 256
+    misses = graphs._edge_tree.cache_info().misses
+    assert misses == len(list(vertex_profiles(5)))
+    assert generating_series_coefficient(2, 5) == 256
+    assert graphs._edge_tree.cache_info().misses == misses
+    assert graphs._labelled_graphs.cache_info().misses == 0
 
 
 def test_counts_beyond_the_desk_grid():
@@ -359,7 +372,7 @@ def test_counts_beyond_the_desk_grid():
     assert generating_series_coefficient(4, 6) == 7558784
 
 
-# -- the walk over shared edge prefixes ---------------------------------------------
+# -- the walk over the edge tree ----------------------------------------------------
 
 
 def _all_labelled(g):
@@ -374,18 +387,7 @@ def test_walk_values_are_the_identity_integrands(g):
         for d in (1, 2, 3, 4):
             series = feynman._integrand(graph, identity, d)
             expected = series.coefficient(d, (0,) * len(identity))
-            assert feynman._balanced_sum(graph, d) == expected, (graph, d)
-
-
-@pytest.mark.parametrize("g", [4, 5, 6])
-def test_walk_values_do_not_depend_on_the_order(g):
-    # reversed, each shared prefix is built by the other graph of its pair
-    # and the profiles change the other way round
-    listed = _all_labelled(g)
-    for d in (2, 3):
-        forward = [feynman._balanced_sum(graph, d) for graph in listed]
-        assert feynman._walk(listed[::-1], d)[::-1] == forward
-        assert feynman._walk(listed, d) == forward
+            assert _balanced_sum(graph, d) == expected, (graph, d)
 
 
 def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
@@ -401,7 +403,8 @@ def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
     # oracle: count_tropical(3, 6)
     assert generating_series_coefficient(3, 6) == 240096
     # one product per edge of every labelled graph would be 3030; sharing
-    # prefixes alone makes 1995, and stopping at an empty prefix 1286
+    # prefixes alone (one product per node of the edge tree) makes 1995, and
+    # cutting below an empty product 1286
     assert len(products) == 1286 < sum(len(graph.edges) for graph in _all_labelled(6)) == 3030
 
 
@@ -448,7 +451,7 @@ def test_prefactor_is_the_tropical_count_graph_by_graph(d, g):
                  for edges in tropical._decorations(graph.edges, s, d)
                  if 1 not in tropical._shape(edges, s).omegas.values()),
                 Fraction(0))
-            graph_sum_side = weight * Fraction(feynman._balanced_sum(graph, d),
+            graph_sum_side = weight * Fraction(_balanced_sum(graph, d),
                                                multiset_automorphisms(graph.edges))
             assert tropical_side == graph_sum_side, (graph, d)
 

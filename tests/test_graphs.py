@@ -159,6 +159,74 @@ def test_labelled_graph_counts(g, count):
         assert graph.loop_count() == 0
 
 
+def _tree_nodes(t, c, allow_loops):
+    """Every node of the profile's edge tree as (valences, path, left at
+    v, left at u, parallel, is a leaf), depth first."""
+    found = []
+
+    def visit(nodes, path, valences):
+        for v, u, left_v, left_u, parallel, children in nodes:
+            here = path + ((v, u),)
+            found.append((valences, here, left_v, left_u, parallel, not children))
+            visit(children, here, valences)
+
+    for valences, nodes in graphs.edge_tree(t, c, allow_loops):
+        visit(nodes, (), valences)
+    return found
+
+
+@pytest.mark.parametrize("g,allow_loops,node_count", [
+    (2, True, 1), (3, False, 5), (4, False, 15), (4, True, 44), (5, False, 176),
+    (6, False, 1995), (7, False, 30300)])
+def test_edge_tree_invariants(g, allow_loops, node_count):
+    nodes = [node for t, c in vertex_profiles(g) for node in _tree_nodes(t, c, allow_loops)]
+    # the leaves, in walk order, are labelled_graphs' edge tuples
+    leaves = [(valences, path) for valences, path, *_rest, leaf in nodes if leaf]
+    listed = [graph for t, c in vertex_profiles(g)
+              for graph in labelled_graphs(t, c, allow_loops=allow_loops)]
+    assert [path for _valences, path in leaves] == [graph.edges for graph in listed]
+    assert [list(valences) for valences, _path in leaves] == [graph.degrees() for graph in listed]
+    # one node per distinct edge prefix of the leaves: no node is a dead end
+    prefixes = {(valences, path[:k]) for valences, path in leaves for k in range(1, len(path) + 1)}
+    assert len(nodes) == len(prefixes) == node_count
+    # each node's open ends and parallel flag, recomputed from its path
+    for valences, path, left_v, left_u, parallel, _leaf in nodes:
+        v, u = path[-1]
+        left = [valence - sum(edge.count(x) for edge in path) for x, valence in enumerate(valences)]
+        assert (left_v, left_u) == (left[v], left[u]), path
+        assert parallel == (len(path) > 1 and path[-2] == path[-1]), path
+
+
+def test_edge_tree_is_cached_and_checks_its_profile():
+    assert graphs.edge_tree(4, 2) is graphs.edge_tree(4, 2, False)
+    assert graphs.edge_tree(4, 2) is graphs.edge_tree(4, 2, allow_loops=False)
+    assert graphs.labelled_graphs(4, 2) is graphs.labelled_graphs(4, 2, allow_loops=False)
+    for t, c in ((1, 0), (3, 2)):
+        with pytest.raises(ValueError, match="degree sum"):
+            graphs.edge_tree(t, c)
+    for t, c in ((0, 0), (-1, 1), (2, -1)):
+        with pytest.raises(ValueError, match="positive number of vertices"):
+            graphs.edge_tree(t, c, True)
+
+
+def test_walk_tree_cuts_below_a_falsy_state():
+    # a state counting edges down from 2 dies at the third edge: every
+    # node of depth <= 3 is stepped, nothing below, and no leaf is reached
+    steps, leaves = [], []
+
+    def step(state, _valences, v, u, *_rest):
+        steps.append((v, u))
+        return state - 1
+
+    graphs.walk_tree(2, 2, False, 3, step, lambda *args: leaves.append(args))
+    shallow = sum(len(path) <= 3 for _valences, path, *_rest in _tree_nodes(2, 2, False))
+    assert len(steps) == shallow > 0 and leaves == []
+    # an always-true state reaches every leaf with its valences and edges
+    graphs.walk_tree(2, 2, False, 1, lambda state, *_edge: state, lambda *args: leaves.append(args))
+    assert [(list(valences), edges) for _state, valences, edges in leaves] == [
+        (graph.degrees(), graph.edges) for graph in labelled_graphs(2, 2)]
+
+
 def test_canonical_form_is_relabeling_invariant():
     for cls in enumerate_graphs(2, 2, allow_loops=True):
         g = cls.graph

@@ -1,5 +1,6 @@
 """The seven record types: immutable, equal only within their own type,
-hashed and shown by their fields; and no command imports dataclasses."""
+hashed and shown by their fields; and no command imports dataclasses or
+typing."""
 
 import os
 import subprocess
@@ -145,3 +146,15 @@ def test_commands_import_neither_dataclasses_nor_inspect(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[-2] == "validate: all identities PASS"
     assert lines[-1] == "[]"
+
+
+def test_command_line_imports_no_typing():
+    """Importing the command line pulls in no ``typing``, in an isolated
+    interpreter without ``site``, which would import it itself."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "import sys; sys.path.insert(0, %r); import twisted_hurwitz.cli; " \
+             "print('typing' in sys.modules)" % src
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -5,13 +5,13 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from twisted_hurwitz import tropical
+from twisted_hurwitz import graphs, tropical
 from twisted_hurwitz.factorizations import count_twisted
 from twisted_hurwitz.graphs import (
-    FeynmanGraph,
     connected,
     labelled_graphs,
     multiset_automorphisms,
@@ -133,21 +133,36 @@ def test_decorations_match_brute_force():
         assert tropical._decorations(claw, 4, d) == _brute_decorations(claw, 4, d) == []
 
 
+def _walked_quotients(t, c, g, d, cut):
+    """Each labelled graph's quotients, keyed by its edge pairs, from one
+    walk of the profile's edge tree with the flow pass as the step."""
+    found = {}
+
+    def leaf(flows, _valences, pairs):
+        found[pairs] = tropical._quotients(flows)
+
+    graphs.walk_tree(t, c, g == 2, [((0,) * (g - 1), d, ())],
+                     partial(tropical._extend, d, cut), leaf)
+    return found
+
+
 def test_counted_decorations_are_the_nonzero_weight_ones():
-    # every profile's list walked whole, as the count and the export walk
-    # it: the shared flow pass yields each graph's quotients of the
-    # exhaustive search, each once, and with the count's cut (w >= 2 at a
-    # two-valent position) exactly those of nonzero weight
+    # every profile's tree walked whole, as the count and the export walk
+    # it: the flow pass yields each graph's quotients of the exhaustive
+    # search, each once, and with the count's cut (w >= 2 at a two-valent
+    # position) exactly those of nonzero weight; a graph the walk cut
+    # before its leaf has none
     checked = dropped = 0
     for g in (2, 3, 4, 5):
         s = g - 1
         for d in range(1, 5):
             for t, c in vertex_profiles(g):
-                pairs = [graph.edges for graph in labelled_graphs(t, c, allow_loops=g == 2)]
-                walks = zip(tropical._flows(pairs, s, d, False), tropical._flows(pairs, s, d, True))
-                for (edges, _valences, flows), (_edges, _same, counted_flows) in walks:
-                    raw = tropical._quotients(flows)
-                    counted = tropical._quotients(counted_flows)
+                walked = _walked_quotients(t, c, g, d, False)
+                counted_walk = _walked_quotients(t, c, g, d, True)
+                for graph in labelled_graphs(t, c, allow_loops=g == 2):
+                    edges = graph.edges
+                    raw = walked.get(edges, [])
+                    counted = counted_walk.get(edges, [])
                     brute = _brute_decorations(edges, s, d)
                     assert len(set(raw)) == len(raw), (edges, d)
                     assert sorted(raw) == brute, (edges, d)
@@ -162,8 +177,8 @@ def test_flow_pass_extends_each_shared_prefix_once(monkeypatch):
     formed = []
     extend = tropical._extend
 
-    def counting(level, *args):
-        out = extend(level, *args)
+    def counting(*args):
+        out = extend(*args)
         formed.append(len(out))
         return out
 
@@ -174,7 +189,14 @@ def test_flow_pass_extends_each_shared_prefix_once(monkeypatch):
     formed.clear()
     for t, c in vertex_profiles(6):
         for graph in labelled_graphs(t, c):
-            list(tropical._flows([graph.edges], 5, 3, True))
+            valences = graph.degrees()
+            left = list(valences)
+            flows = [((0,) * 5, 3, ())]
+            for n, (u, v) in enumerate(graph.edges):
+                left[u] -= 1
+                left[v] -= 1
+                parallel = n > 0 and graph.edges[n - 1] == (u, v)
+                flows = tropical._extend(3, True, flows, valences, u, v, left[u], left[v], parallel)
     # walking each graph alone forms every partial flow of its prefixes again
     assert shared == 9176 < sum(formed) == 20441
 
@@ -276,12 +298,10 @@ def test_genus2_closed_form():
 
 
 def test_count_checks_the_structural_genus(monkeypatch):
-    # two loops make a 4-valent position, where 2g' = g - c + 1 fails
-    monkeypatch.setattr(
-        tropical,
-        "labelled_graphs",
-        lambda *_args, **_kwargs: [FeynmanGraph(1, ((0, 0), (0, 0)))],
-    )
+    # two loops make a 4-valent position, where 2g' = g - c + 1 fails: a
+    # one-leaf tree, (v, u, open ends left at v and u, parallel, children)
+    double_loop = (0, 0, 2, 2, False, ((0, 0, 0, 0, True, ()),))
+    monkeypatch.setattr(graphs, "edge_tree", lambda *_args: (((4,), (double_loop,)),))
     with pytest.raises(ValueError, match="structural genus"):
         count_tropical(2, 2)
 
