@@ -43,10 +43,10 @@ edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
 edge lifts to two copies swapped by the involution.  The only discrete
 choice is a gluing sign for each edge whose endpoints are both doubled
 (an e33 edge): "straight" joins + to + and - to -, "crossed" joins + to -.
-The lift classes are the orbits of the group G of vertex flips and
-permutations of equal edges acting on the sign vectors; by orbit-
-stabilizer, |Aut| = |G| / |orbit| * 2^{cp}, where cp counts the lift
-pairs whose two lifts coincide (lift_classes derives the details).
+The lift classes are the orbits of the group G of vertex flips (XORs of
+the sign bitmask) and permutations of equal edges acting on the sign
+vectors; by orbit-stabilizer, |Aut| = |G| / |orbit| * 2^{cp}, where cp
+counts the lift pairs whose two lifts coincide (lift_classes walks them).
 
 Each twisted cover pi is counted with multiplicity
 
@@ -99,9 +99,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product as iproduct
 from math import prod
-from operator import xor
 
 from .graphs import connected, multiset_automorphisms, vertex_profiles, walk_tree
 from .record import Record
@@ -193,13 +191,11 @@ def _extend(d, cut, level, valences, u, v, left_u, left_v, parallel):
     d, and a flow whose backward weights would exceed d is cut.  Parallel
     edges take non-decreasing (i, j), so _crossings builds each multiset
     once."""
-    closes = [x for x, left in {u: left_u, v: left_v}.items() if not left]  # a loop: one x
     lightest = 2 if cut and 2 in (valences[u], valences[v]) else 1
     out = []
-    if u != v and closes:
+    if u != v and not (left_u and left_v):
         # the edge that closes x leaves x when more weight enters x
-        x = closes[0]
-        y = u + v - x
+        x, y, left_y = (v, u, left_u) if left_u else (u, v, left_v)
         for net, spare, flow in level:
             w = net[x]
             i, j, w = (x, y, -w) if w < 0 else (y, x, w)
@@ -209,12 +205,12 @@ def _extend(d, cut, level, valences, u, v, left_u, left_v, parallel):
             moved = list(net)
             moved[x] = 0
             moved[y] += net[x]
-            if not moved[y] or y not in closes:
+            if left_y or not moved[y]:
                 out.append((tuple(moved), spare - w * least, flow + ((i, j, w, least),)))
         return out
-    orientations = [(i, j, int(i >= j)) for i, j in {(u, v), (v, u)}]
+    orientations = ((u, v, 1),) if u == v else ((u, v, 0), (v, u, 1))
     for net, spare, flow in level:
-        if closes and net[u]:  # only a loop closes here, and it moves no weight
+        if u == v and not left_u and net[u]:  # a loop closing u moves no weight
             continue
         for i, j, least in orientations:
             if parallel and (i, j) < flow[-1][:2]:
@@ -279,30 +275,28 @@ def lift_classes(edges, s):
     list of (signs, automorphism_count) with signs the lexicographically
     smallest gluing assignment in the class, ordered by signs.
 
-    Lift vertices are (v,+) and (v,-) for a doubled position v and one
-    (v,o) for a 2-valent one.  Flipping a set f of doubled positions swaps
-    their + and - and toggles the sign of every e33 edge with exactly one
-    endpoint in f (every other edge lifts to a pair that a flip only
-    permutes); permuting equal quotient edges permutes their signs.  These
-    form a group G of order 2^{#doubled} * prod m! over groups of m equal
-    edges, and two sign vectors give isomorphic lifts iff they share a
-    G-orbit.  The sorted (edge, sign) pairs of the e33 edges (the key) fix
-    a vector up to the permutations, so an orbit is the set of vectors
-    whose key is that of a flip of one member.  An automorphism is an
-    element of G fixing the signs together with a matching of each lift
-    pair onto its image: one where the pair's two lifts differ, two where
-    they coincide (both endpoints 2-valent, or a crossed loop).  So by
-    orbit-stabilizer |Aut| = |G| / |orbit| * 2^{#coinciding pairs}.
+    Flipping a set f of doubled positions swaps their + and - and toggles
+    the sign of every e33 edge with exactly one endpoint in f (every other
+    edge lifts to a pair that a flip only permutes); permuting equal
+    quotient edges permutes their signs.  These form a group G of order
+    2^{#doubled} * prod m! over groups of m equal edges, and two sign
+    vectors give isomorphic lifts iff they share a G-orbit.  An
+    automorphism is an element of G fixing the signs together with a
+    matching of each lift pair onto its image: one where the pair's two
+    lifts differ, two where they coincide (both endpoints 2-valent, or a
+    crossed loop).  So |Aut| = |G| / |orbit| * 2^{#coinciding pairs}.
 
-    Each sign vector is visited once, in ascending order: a known key
-    counts it in its orbit, a new one opens an orbit with the vector as
-    representative, records the keys of all its flips and tests
-    connectivity, an orbit invariant like the coinciding pairs.  So the
-    orbits open in ascending order of their representatives.
+    A sign vector is an integer, the first e33 edge's sign its top bit, so
+    ascending integers are ascending sign tuples.  Its key, the least
+    vector with its crossed-sign count in each group of equal e33 edges
+    (grouped by value), fixes it up to the permutations; the flips toggle
+    the XOR span of one mask per doubled position.  Visited in ascending
+    order, a vector with a known key counts in its orbit, and one with a
+    new key opens an orbit as its representative, records the keys of all
+    its toggles and tests connectivity, an orbit invariant, once.
     """
     shape = _shape(edges, s)
     valences, omegas, e33 = shape.valences, shape.omegas, shape.e33
-    glued = [edges[x] for x in e33]
     # lift vertex numbers: (v,+) is plus[v] and (v,-) is minus[v]; (v,o) is both
     plus, minus, n = {}, {}, 0
     for v in range(s):
@@ -311,37 +305,43 @@ def lift_classes(edges, s):
             n = minus[v] + 1
     doubled = [v for v in plus if plus[v] != minus[v]]
     group_order = 2 ** len(doubled) * multiset_automorphisms(edges)
-    # the sign toggles of the flip sets
-    toggles = {
-        tuple(f[i] ^ f[j] for i, j, _k, _w in glued)
-        for f in (dict(zip(doubled, bits)) for bits in iproduct((0, 1), repeat=len(doubled)))
-    }
+    bit, groups = {}, {}  # groups: equal e33 edges -> the sums of their lowest c bits
+    for b, x in enumerate(reversed(e33)):
+        bit[x] = 1 << b
+        low = groups.setdefault(edges[x], [0])
+        low.append(low[-1] + bit[x])
+    lows = [low for low in groups.values() if len(low) > 2]  # two or more equal edges
+    toggles = {0}
+    for v in doubled:
+        flip = sum(bit[x] for x in e33 if (edges[x][0] == v) != (edges[x][1] == v))
+        toggles |= {t ^ flip for t in toggles}
+    crossed_loops = sum(bit[x] for x in e33 if edges[x][0] == edges[x][1])
+    fixed_pairs = sum(i in omegas and j in omegas for i, j, _k, _w in edges)
+    lifts = [(bit.get(x, 0), ((plus[i], plus[j]), (minus[i], minus[j])),
+              ((plus[i], minus[j]), (minus[i], plus[j])))
+             for x, (i, j, _k, _w) in enumerate(edges)]
 
     def key(signs):
-        return tuple(sorted(zip(glued, signs)))
-
-    def lifts(signs):
-        """The two lifts of every quotient edge, as lift-vertex pairs."""
-        sign = dict(zip(e33, signs))
-        for x, (i, j, _k, _w) in enumerate(edges):
-            a, b = (minus, plus) if sign.get(x) else (plus, minus)
-            yield (plus[i], a[j]), (minus[i], b[j])
+        for low in lows:
+            signs = signs & ~low[-1] | low[(signs & low[-1]).bit_count()]
+        return signs
 
     orbits = []  # [representative, size, connected]
     orbit_of = {}  # key -> its orbit
-    for signs in iproduct((STRAIGHT, CROSSED), repeat=len(e33)):
+    for signs in range(2 ** len(e33)):
         orbit = orbit_of.get(key(signs))
         if orbit is None:
-            orbit = [signs, 0, connected(n, (p for pair in lifts(signs) for p in pair))]
+            pairs = [p for b, flat, cross in lifts for p in (cross if signs & b else flat)]
+            orbit = [signs, 0, connected(n, pairs)]
             orbits.append(orbit)
             for t in toggles:
-                orbit_of[key(map(xor, signs, t))] = orbit
+                orbit_of[key(signs ^ t)] = orbit
         orbit[1] += 1
 
     classes = [
-        (signs, group_order // size * 2 ** sum(sorted(p) == sorted(q) for p, q in lifts(signs)))
-        for signs, size, joined in orbits
-        if joined
+        (tuple(CROSSED if signs & bit[x] else STRAIGHT for x in e33),
+         group_order // size * 2 ** (fixed_pairs + (signs & crossed_loops).bit_count()))
+        for signs, size, joined in orbits if joined
     ]
     connected_count = sum(size for _signs, size, joined in orbits if joined)
     return classes, connected_count, 2 ** len(e33)

@@ -431,20 +431,128 @@ def test_lift_automorphisms_match_brute_force():
     assert checked > 300
 
 
+def _orbit_oracle(edges, s):
+    """The orbits of a quotient's gluing-sign tuples, each closed under
+    explicit generators: the flip of each doubled position (toggling the
+    signs of the e33 edges with exactly one end there) and the swap of
+    each two equal e33 edges.  Each orbit as (its least tuple, its size,
+    whether its lift is connected), in order of the least tuples."""
+    e33 = tropical.e33_indices(edges, s)
+    germs = Counter(v for i, j, _k, _w in edges for v in (i, j))
+    doubled = [v for v in range(s) if germs[v] not in (0, 2)]
+    flips = [[int((edges[x][0] == v) != (edges[x][1] == v)) for x in e33] for v in doubled]
+    swaps = [(p, q) for p, q in itertools.combinations(range(len(e33)), 2)
+             if edges[e33[p]] == edges[e33[q]]]
+
+    def neighbours(signs):
+        for toggle in flips:
+            yield tuple(a ^ b for a, b in zip(signs, toggle))
+        for p, q in swaps:
+            swapped = list(signs)
+            swapped[p], swapped[q] = signs[q], signs[p]
+            yield tuple(swapped)
+
+    def joined(signs):
+        # the lift as an explicit graph on (v, +/-) and (v, None), searched
+        sign = dict(zip(e33, signs))
+        half = {v: (0, 1) if v in doubled else (None, None) for v in germs}
+        around = defaultdict(set)
+        for x, (i, j, _k, _w) in enumerate(edges):
+            for h in (0, 1):
+                a, b = (i, half[i][h]), (j, half[j][h ^ sign.get(x, 0)])
+                around[a].add(b)
+                around[b].add(a)
+        start = next(iter(around))
+        reached, frontier = {start}, [start]
+        while frontier:
+            for end in around[frontier.pop()] - reached:
+                reached.add(end)
+                frontier.append(end)
+        return len(reached) == len(around)
+
+    orbits, seen = [], set()
+    for signs in itertools.product((0, 1), repeat=len(e33)):
+        if signs in seen:
+            continue
+        orbit, frontier = {signs}, [signs]
+        while frontier:
+            for other in neighbours(frontier.pop()):
+                if other not in orbit:
+                    orbit.add(other)
+                    frontier.append(other)
+        seen |= orbit
+        orbits.append((signs, len(orbit), joined(signs)))
+    return orbits
+
+
+def _assert_lift_classes_are_the_oracle_orbits(edges, s):
+    classes, connected_count, total = tropical.lift_classes(edges, s)
+    orbits = [(least, size) for least, size, joined in _orbit_oracle(edges, s) if joined]
+    assert [signs for signs, _aut in classes] == [least for least, _size in orbits], edges
+    assert connected_count == sum(size for _least, size in orbits), edges
+    assert total == 2 ** len(tropical.e33_indices(edges, s)), edges
+
+
+def test_lift_classes_are_the_orbits_of_explicit_generators():
+    # the lift edges (u, v, 0, 1) of every labelled graph with g <= 6 (the
+    # leaves of the edge tree), then every quotient of three points
+    graphs_checked = 0
+    for g in range(2, 7):
+        for t, c in vertex_profiles(g):
+            for graph in labelled_graphs(t, c, allow_loops=g == 2):
+                edges = tuple((u, v, 0, 1) for u, v in graph.edges)
+                _assert_lift_classes_are_the_oracle_orbits(edges, g - 1)
+                graphs_checked += 1
+    assert graphs_checked == 519
+    for d, g in ((3, 5), (4, 4), (2, 6)):
+        for edges in tropical._enumerate_multisets(d, g):
+            _assert_lift_classes_are_the_oracle_orbits(edges, g - 1)
+
+
+def test_lift_classes_group_equal_edges_by_value():
+    # equal e33 edges passed apart: the same classes up to where the
+    # edges sit, so the same connected count and automorphism counts
+    ordered = ((0, 1, 0, 1), (0, 1, 0, 1), (0, 2, 0, 1), (1, 3, 0, 1), (2, 3, 0, 1), (2, 3, 0, 1))
+    shuffled = ((2, 3, 0, 1), (0, 1, 0, 1), (0, 2, 0, 1), (2, 3, 0, 1), (1, 3, 0, 1), (0, 1, 0, 1))
+    (by_order, joined, total), (by_value, joined_too, total_too) = (
+        tropical.lift_classes(edges, 4) for edges in (ordered, shuffled))
+    assert (joined, total) == (joined_too, total_too) == (56, 64)
+    assert sorted(aut for _signs, aut in by_order) == sorted(aut for _signs, aut in by_value)
+    _assert_lift_classes_are_the_oracle_orbits(shuffled, 4)
+
+
 def test_lift_classes_test_connectivity_once_per_orbit(monkeypatch):
-    # with a 2-valent vertex every sign vector gives a connected lift, so
-    # each orbit is a class and is tested exactly once
+    # each orbit, connected or not, is tested exactly once; with a 2-valent
+    # vertex every sign vector gives a connected lift, so each is a class
     calls = []
     real = tropical.connected
     monkeypatch.setattr(tropical, "connected", lambda n, pairs: calls.append(n) or real(n, pairs))
-    checked = 0
+    checked = Counter()
     for edges in tropical._enumerate_multisets(3, 5):
-        if 2 in Counter(v for i, j, _k, _w in edges for v in (i, j)).values():
-            calls.clear()
-            classes, _conn, _total = tropical.lift_classes(edges, 4)
+        calls.clear()
+        classes, _conn, _total = tropical.lift_classes(edges, 4)
+        assert len(calls) == len(_orbit_oracle(edges, 4)), edges
+        two_valent = 2 in Counter(v for i, j, _k, _w in edges for v in (i, j)).values()
+        if two_valent:
             assert len(calls) == len(classes), edges
-            checked += 1
-    assert checked
+        checked[two_valent] += 1
+    assert checked[True] and checked[False]
+
+
+def test_lift_factors_frozen():
+    # prod m! * sum 1/|Aut| of every labelled graph with g <= 6, the values
+    # the count reads; digest taken from the sorted-pair-key implementation
+    values = [
+        (graph.edges, tropical._lift_factor(graph.edges, g - 1))
+        for g in range(2, 7)
+        for t, c in vertex_profiles(g)
+        for graph in labelled_graphs(t, c, allow_loops=g == 2)
+    ]
+    blob = repr(values).encode()
+    assert (len(values), len(blob)) == (519, 36436)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "675f072156433ad19aef5bb1f5393b317fad141b0d91109062f3af1d9bd69410"
+    )
 
 
 # -- structural invariants -------------------------------------------------------
