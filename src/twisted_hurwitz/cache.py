@@ -191,18 +191,20 @@ _kept = None
 _kept_lock = threading.Lock()
 
 #: bytes per read when checking that a file still starts with a kept scan
-_CHUNK = 1 << 16
+_CHUNK = 1 << 18
 
 
 def _starts_with(handle, data) -> bool:
     """Whether the file open as *handle* starts with exactly *data*,
-    compared chunk by chunk; leaves *handle* just past the prefix."""
+    compared chunk by chunk through one buffer that every read fills;
+    leaves *handle* just past the prefix."""
+    buffer = memoryview(bytearray(min(_CHUNK, len(data))))
     at = 0
     while at < len(data):
-        chunk = handle.read(min(_CHUNK, len(data) - at))
-        if not chunk or not data.startswith(chunk, at):
+        got = handle.readinto(buffer[:len(data) - at])
+        if not got or not data.startswith(buffer[:got], at):
             return False
-        at += len(chunk)
+        at += got
     return True
 
 

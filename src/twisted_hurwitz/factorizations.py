@@ -32,21 +32,24 @@ and the left side of the equation is the sandwich  E * sigma * (tau E^{-1} tau).
 Transitivity needs only the partition P of the points joined by the
 transpositions: eta_s = (i j) joins i and j, and tau eta_s tau joins tau(i)
 and tau(j).  Neither E nor P involves sigma.  So one dynamic program over
-the states (E, tau E^{-1} tau, P), each step applying one admissible
-transposition and carrying the number of sequences that reach the state,
-gives the contribution of every sequence for every sigma at once (`_layer`).
-One layer tracks P for both counts: a disconnected count sums the
-multiplicities over P, so connected and disconnected queries at one
+the states (E, P), each step applying one admissible transposition and
+carrying the number of sequences that reach the state, gives the
+contribution of every sequence for every sigma at once (`_layer`); the
+right factor tau E^{-1} tau, a function of E, is formed when E first
+appears.  One layer tracks P for both counts: a disconnected count sums
+the multiplicities over P, so connected and disconnected queries at one
 (d, g) share the same memoised layer.  The layer for g-1 slots is built
 from the one for g-2, so genus g reuses the work of genus g-1.  A sigma is
 finished (`count_for_sigma`) by looking each state's product up in the
 table of alpha sigma alpha^{-1}: the state adds its multiplicity once per
 matching alpha, and for connected counts only for the alphas with
-P v sigma v alpha transitive (all of them when P v sigma already is),
-tested once per cycle partition of alpha, not once per alpha.  Permutations
-and partitions are bytes (p[i] the image of i, P[i] the least point of i's
-block): q.translate(p padded by the identity to 256 bytes) is p * q, a
-block merge is one bytes.replace, and P is one block iff it is bytes(n).
+P v sigma v alpha transitive (all of them when P v sigma already is).
+`_finish` first sums the multiplicities by (product, P v sigma), then
+tests each pair once per cycle partition of its matching alphas, joining
+only the points that sigma and alpha move.  Permutations and partitions
+are bytes (p[i] the image of i, P[i] the least point of i's block):
+q.translate(p padded by the identity to 256 bytes) is p * q, a block
+merge is one bytes.replace, and P is one block iff it is bytes(n).
 
 Conjugating a whole tuple by beta in B_d gives another counted tuple: beta
 commutes with tau, so it maps B~_d, B_d and the admissible transpositions
@@ -224,6 +227,11 @@ def _support(t):
     return tuple(i for i, x in enumerate(t) if x != i)
 
 
+def _moved(p):
+    """The (i, p[i]) pairs with p[i] != i."""
+    return [(i, x) for i, x in enumerate(p) if x != i]
+
+
 def _join(labels, pairs):
     """Partition *labels* (each point labelled by the least point of its
     block) with the blocks of each pair merged."""
@@ -247,25 +255,30 @@ def _moves(etas, eta_taus):
 
 @lru_cache(maxsize=None)
 def _layer(n, moves, depth):
-    """{(left, right): {P: sequences}} over all sequences of *depth* moves.
+    """{left: (right, {P: sequences})} over all sequences of *depth* moves.
 
     A move (step, right_step, pairs) multiplies the left factor by *step*
     (a translate table) on the left and the right factor by *right_step*
     on the right, and joins *pairs* in the partition P.  The product after
-    the sequence is left * sigma * right.
+    the sequence is left * sigma * right, and right is a function of left
+    (tau left^{-1} tau, or the identity), formed when left first appears.
     """
     ident = _IDENTITY[:n]
     if depth == 0:
-        return {(ident, ident): {ident: 1}}
-    out, joined = {}, {}
-    for (left, right), parts in _layer(n, moves, depth - 1).items():
+        return {ident: (ident, {ident: 1})}
+    out, joins = {}, [{} for _ in moves]  # per move: P -> P joined by the move
+    for left, (right, parts) in _layer(n, moves, depth - 1).items():
         right_table = right + _IDENTITY[n:]
-        for k, (step, right_step, pairs) in enumerate(moves):
-            bucket = out.setdefault((left.translate(step), right_step.translate(right_table)), {})
+        for (step, right_step, pairs), joined in zip(moves, joins):
+            after = left.translate(step)
+            state = out.get(after)
+            if state is None:
+                state = out[after] = (right_step.translate(right_table), {})
+            bucket = state[1]
             for part, mult in parts.items():
-                nxt = joined.get((part, k))
+                nxt = joined.get(part)
                 if nxt is None:
-                    nxt = joined[part, k] = _join(part, pairs)
+                    nxt = joined[part] = _join(part, pairs)
                 bucket[nxt] = bucket.get(nxt, 0) + mult
     return out
 
@@ -273,34 +286,40 @@ def _layer(n, moves, depth):
 def _finish(layer, sigma, alphas, lookup, connected):
     """Tuples completing *sigma*, summed over the states of *layer*."""
     one_block, pad = bytes(len(sigma)), _IDENTITY[len(sigma):]
-    sigma_table = bytes(sigma) + pad
+    sigma_table, sigma_pairs = bytes(sigma) + pad, _moved(sigma)
     total = 0
-    if connected:  # the alphas matching each product, counted by cycle partition
-        cycles = _group_bytes(alphas)
-        lookup = {key: Counter(cycles[ai][2] for ai in cand) for key, cand in lookup.items()}
+    hits = {}  # product -> {P v sigma: sequences}
     with_sigma = {}  # P -> P v sigma
-    spans = {}  # (P v sigma, alpha cycle partition) -> is P v sigma v alpha one block?
-    for (left, right), parts in layer.items():
+    for left, (right, parts) in layer.items():
         product = right.translate(sigma_table).translate(left + pad)
-        cand = lookup.get(product)
-        if not cand:
+        if product not in lookup:
             continue
         if not connected:
-            total += len(cand) * sum(parts.values())
+            total += len(lookup[product]) * sum(parts.values())
             continue
+        bases = hits.setdefault(product, {})
         for part, mult in parts.items():
             base = with_sigma.get(part)
             if base is None:
-                base = with_sigma[part] = _join(part, enumerate(sigma))
+                base = with_sigma[part] = _join(part, sigma_pairs)
+            bases[base] = bases.get(base, 0) + mult
+    cycles = _group_bytes(alphas)
+    moved = {}  # alpha cycle partition -> its moved points' (point, label) pairs
+    for product, bases in hits.items():
+        cand = lookup[product]
+        counted = None  # the matching alphas, counted by cycle partition
+        for base, mult in bases.items():
             if base == one_block:
-                total += mult * cand.total()
+                total += mult * len(cand)
                 continue
-            for alpha_part, size in cand.items():
-                hit = spans.get((base, alpha_part))
-                if hit is None:
-                    hit = spans[base, alpha_part] = _join(base, enumerate(alpha_part)) == one_block
-                if hit:
-                    total += mult * size
+            if counted is None:
+                counted = []
+                for part, size in Counter(cycles[ai][2] for ai in cand).items():
+                    pairs = moved.get(part)
+                    if pairs is None:
+                        pairs = moved[part] = _moved(part)
+                    counted.append((pairs, size))
+            total += mult * sum(size for pairs, size in counted if _join(base, pairs) == one_block)
     return total
 
 
@@ -374,18 +393,16 @@ def enumerate_twisted_tuples(d, g, connected=True, budget=None):
 
 @lru_cache(maxsize=None)
 def _classical_tables(d):
-    group = tuple(perms.symmetric_group(d))
-    swaps = tuple(
-        perms.transposition(d, i, j) for i in range(d) for j in range(i + 1, d)
-    )
-    return group, swaps
+    """(S_d, the `_layer` moves of its transpositions)."""
+    swaps = (perms.transposition(d, i, j) for i in range(d) for j in range(i + 1, d))
+    moves = tuple((bytes(s) + _IDENTITY[d:], _IDENTITY[:d], (_support(s),)) for s in swaps)
+    return tuple(perms.symmetric_group(d)), moves
 
 
 def count_classical(d, g, connected=True, budget=None):
     """Torus cover count: (sigma, tau_1..tau_{2g-2}, alpha) tuples over d!."""
     _admit(d, g, budget, _classical_projected)
-    group, swaps = _classical_tables(d)
-    moves = tuple((bytes(s) + _IDENTITY[d:], _IDENTITY[:d], (_support(s),)) for s in swaps)
+    group, moves = _classical_tables(d)
     layer = _layer(d, moves, 2 * g - 2)
     total = sum(
         size * _finish(layer, pi, group, _alpha_lookup(pi, group), connected)

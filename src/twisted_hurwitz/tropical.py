@@ -230,34 +230,37 @@ def _crossings(flow, spare):
     remainder divided by its weight.  Parallel edges of one orientation
     take non-decreasing (k, w), so each multiset appears once and equal
     decorated edges are adjacent: prod m! is read from their runs."""
-    last = len(flow) - 1
     out = []
-    chosen = []
-
-    def cross(n, spare, runs, run):
-        i, j, w, k = flow[n]
-        if chosen and chosen[-1][:2] == (i, j):
-            floor = chosen[-1][2] + (w < chosen[-1][3])
-            if floor > k:
-                spare -= w * (floor - k)
-                k = floor
-        if n == last:
-            extra, rest = divmod(spare, w)
-            extras = () if extra < 0 or rest else (extra,)
-        else:
-            extras = range(spare // w + 1)
-        for extra in extras:
-            edge = (i, j, k + extra, w)
-            step = run + 1 if chosen and chosen[-1] == edge else 1
-            chosen.append(edge)
-            if n == last:
-                out.append((tuple(sorted(chosen)), runs * step))
-            else:
-                cross(n + 1, spare - w * extra, runs * step, step)
-            chosen.pop()
-
-    cross(0, spare, 1, 0)
+    _cross(flow, 0, spare, 1, 0, [], out)
     return out
+
+
+def _cross(flow, n, spare, runs, run, chosen, out):
+    """Append to `out` every completion of `chosen`, the decorated edges
+    flow[:n] with product of run factorials `runs` and last run `run`.  A
+    module-level function, not a closure that calls itself, so a call
+    leaves no reference cycle behind."""
+    i, j, w, k = flow[n]
+    if chosen and chosen[-1][:2] == (i, j):
+        floor = chosen[-1][2] + (w < chosen[-1][3])
+        if floor > k:
+            spare -= w * (floor - k)
+            k = floor
+    last = n == len(flow) - 1
+    if last:
+        extra, rest = divmod(spare, w)
+        extras = () if extra < 0 or rest else (extra,)
+    else:
+        extras = range(spare // w + 1)
+    for extra in extras:
+        edge = (i, j, k + extra, w)
+        step = run + 1 if chosen and chosen[-1] == edge else 1
+        chosen.append(edge)
+        if last:
+            out.append((tuple(sorted(chosen)), runs * step))
+        else:
+            _cross(flow, n + 1, spare - w * extra, runs * step, step, chosen, out)
+        chosen.pop()
 
 
 # ---------------------------------------------------------------------------

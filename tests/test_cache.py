@@ -368,6 +368,30 @@ def test_a_later_lookup_scans_only_the_appended_lines(tmp_path, monkeypatch):
     assert store.lookup({f: record[f] for f in KEY_FIELDS}) == record
 
 
+@pytest.mark.parametrize("where", ["none", "chunk end", "chunk start", "last kept byte"])
+def test_a_kept_scan_is_dropped_when_one_byte_differs(tmp_path, no_kept_scan, where):
+    """The prefix check reads the file in chunks: a byte changed on either
+    side of a chunk boundary, or the last byte of the kept prefix, makes
+    the next lookup scan the file afresh; an unchanged file keeps it."""
+    path = tmp_path / "cache.jsonl"
+    filler = canonical_filler(5000)
+    data = bytearray("".join(filler).encode())
+    assert len(data) > 2 * cache._CHUNK
+    path.write_bytes(data)
+    store = ResultCache(path)
+    at = {"none": None, "chunk end": cache._CHUNK - 1, "chunk start": cache._CHUNK,
+          "last kept byte": len(data) - 1}[where]
+    line = json.loads(filler[data.count(b"\n", 0, at)] if at is not None else filler[0])
+    key = {f: line[f] for f in KEY_FIELDS}
+    store.lookup(key)
+    kept = cache._kept
+    if at is not None:
+        data[at] ^= 1
+        path.write_bytes(data)
+    assert answer_and_warnings(store.lookup, key) == answer_and_warnings(decode_every_line, path, key)
+    assert (cache._kept is kept) == (at is None)
+
+
 def test_every_scan_is_indexed(tmp_path, monkeypatch):
     """The pass that scans a file indexes it: on a fresh scan a hit
     decodes only its line and a miss decodes none."""

@@ -203,6 +203,21 @@ def test_connected_and_disconnected_share_one_layer():
     assert factorizations._layer.cache_info().misses == misses
 
 
+def test_layer_right_factor_is_a_function_of_the_left():
+    # the layer keeps one right factor per left factor E: tau E^{-1} tau under
+    # the twisted moves, the identity under the classical ones
+    for d in (1, 2, 3):
+        tau = perms.pairing_involution(d)
+        etas, eta_taus, _, _ = _twisted_tables(d)
+        classical = factorizations._classical_tables(d)[1]
+        for depth in range(5):
+            layer = factorizations._layer(2 * d, factorizations._moves(etas, eta_taus), depth)
+            for left, (right, _) in layer.items():
+                assert tuple(right) == perms.conjugate(perms.inverse(tuple(left)), tau)
+            for right, _ in factorizations._layer(d, classical, depth).values():
+                assert right == bytes(range(d))
+
+
 def test_per_degree_data_is_built_once():
     # the tables are tuples, so the moves and the alphas' bytes are cached by
     # value: every sigma of a degree, and every later query, reuses them
@@ -317,7 +332,7 @@ def test_budget_projections_use_closed_forms():
     # sizes of the tables they stand in for
     for d in range(1, 6):
         etas, _, alphas, sigmas = _twisted_tables(d)
-        group, swaps = factorizations._classical_tables(d)
+        group, moves = factorizations._classical_tables(d)  # one move per swap
         for g in (1, 2, 3, 4):
             with pytest.raises(BudgetExceeded) as twisted:
                 count_twisted(d, g, budget=-1)
@@ -325,7 +340,7 @@ def test_budget_projections_use_closed_forms():
             with pytest.raises(BudgetExceeded) as classical:
                 count_classical(d, g, budget=-1)
             assert classical.value.projected == (
-                len(group) ** 2 * max(len(swaps), 1) ** (2 * g - 2)
+                len(group) ** 2 * max(len(moves), 1) ** (2 * g - 2)
             )
 
 

@@ -1,5 +1,6 @@
 """Tropical pipeline: quotient covers, lift classes, multiplicities."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -131,6 +132,21 @@ def test_decorations_match_brute_force():
     claw = ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3))
     for d in range(1, 6):
         assert tropical._decorations(claw, 4, d) == _brute_decorations(claw, 4, d) == []
+
+
+def test_crossings_leave_no_reference_cycle():
+    # with the collector off, anything a call leaves unreachable stays
+    # until gc.collect(), which returns how many objects it found
+    flow = ((0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 2, 1))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(tropical._crossings(flow, 3)) == 3
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _walked_quotients(t, c, g, d, cut):
