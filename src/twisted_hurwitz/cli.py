@@ -21,10 +21,11 @@ be read or appended to.  Warnings (that one, a damaged cached record, a
 corrupt cache line) are printed by the command line as one line each on
 stderr, ``warning:`` and the message, without the source location.
 
-Exit codes: 0 success, 2 incompatible parameters (or, from argparse, a
-malformed argument such as ``--budget abc``), 3 step budget exceeded,
-4 unwritable export path, or a cache file that ``cache show|clear``
-cannot use.
+Exit codes: 0 success, 1 a ``validate`` identity FAILs, 2 incompatible
+parameters (or, from argparse, a malformed argument such as ``--budget
+abc``), 3 step budget exceeded, 4 unwritable export path, or a cache file
+that ``cache show|clear`` cannot use, 5 standard output closed before
+everything was written to it (a ``compute`` result is stored first).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 import warnings
@@ -70,6 +72,7 @@ EXIT_OK = 0
 EXIT_INCOMPATIBLE = 2
 EXIT_BUDGET = 3
 EXIT_UNWRITABLE = 4
+EXIT_BROKEN_PIPE = 5
 
 
 def _replayable(hit: dict):
@@ -338,9 +341,18 @@ def main(argv=None) -> int:
 
 def console() -> int:
     """The command line: ``main`` with each printed warning on one line.
-    Only the printed form changes; warning filters still apply."""
+    Only the printed form changes; warning filters still apply.  When the
+    reader of stdout has gone away, the rest of the output is sent to
+    os.devnull, so the interpreter's last flush stays quiet, and the exit
+    code is EXIT_BROKEN_PIPE."""
     warnings.formatwarning = _warning_line
-    return main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

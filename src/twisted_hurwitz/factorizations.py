@@ -161,15 +161,23 @@ def _twisted_tables(d):
     return etas, eta_taus, alphas, sigmas
 
 
-@lru_cache(maxsize=None)
+_GROUP_BYTES = {}  # id(group) -> (group, its bytes); a held group's id is not reused
+
+
 def _group_bytes(group):
     """Each permutation of *group* with its inverse and its cycle partition,
-    as bytes; permutations with the same cycles share one partition."""
-    interned, out = {}, []
-    for p in group:
-        cycles = _join(_IDENTITY[:len(p)], enumerate(p))
-        out.append((bytes(p), bytes(perms.inverse(p)), interned.setdefault(cycles, cycles)))
-    return tuple(out)
+    as bytes; permutations with the same cycles share one partition.
+    Memoised by the group object's identity, so a repeat call, once per
+    sigma orbit with the degree's one cached table, does not hash the
+    whole group."""
+    entry = _GROUP_BYTES.get(id(group))
+    if entry is None:
+        interned, out = {}, []
+        for p in group:
+            cycles = _join(_IDENTITY[:len(p)], enumerate(p))
+            out.append((bytes(p), bytes(perms.inverse(p)), interned.setdefault(cycles, cycles)))
+        entry = _GROUP_BYTES[id(group)] = (group, tuple(out))
+    return entry[1]
 
 
 def _alpha_lookup(sigma, alphas):

@@ -2,10 +2,9 @@
 
 For genus g > 2 the connected twisted count of degree d is assembled from
 finite graph data.  The graphs are the connected multigraphs on g - 1
-vertices of valence 2 or 3 (no loops survive the balancing condition at
-that valence range, so none are enumerated).  Each graph class is summed
-over all total orders of its vertices, and each edge k contributes one
-propagator factor
+vertices of valence 2 or 3, which have no loops at g > 2 (the graphs
+module docstring says why).  Each graph class is summed over all total
+orders of its vertices, and each edge k contributes one propagator factor
 
     P(q_k) = sum_{w>=1} c_w (x_t/x_h)^w
            + sum_{a>=1} q_k^a sum_{w|a} c_w ((x_t/x_h)^w + (x_h/x_t)^w)
@@ -462,7 +461,7 @@ def _balanced_sums(t: int, c: int, d: int) -> MappingProxyType:
         if value:
             sums[edges] = value
 
-    walk_tree(t, c, False, TruncatedSeries.constant(n, d, 1), step, leaf)
+    walk_tree(t, c, TruncatedSeries.constant(n, d, 1), step, leaf)
     return MappingProxyType(sums)
 
 

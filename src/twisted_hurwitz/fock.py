@@ -369,11 +369,10 @@ class ParityViolation(RuntimeError):
 
 
 def _prefactor_sum(poly, g):
-    """sum_c coef_{z^c}(poly) * 2^{(g-c+1)/2} / 2^{c+1}, checking z-parity."""
+    """sum_c coef_{z^c}(poly) * 2^{(g-c+1)/2} / 2^{c+1}, checking z-parity
+    (a ZPoly holds no zero coefficient)."""
     total = Fraction(0)
     for c, coef in sorted(poly.coeffs.items()):
-        if coef == 0:
-            continue
         if (g - c + 1) % 2:
             raise ParityViolation(
                 "nonzero z^%d coefficient %s at g=%d: exponent (g-c+1)/2 "

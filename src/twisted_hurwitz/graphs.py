@@ -14,6 +14,14 @@ empty.  ``labelled_graphs`` lists the tree's leaves as FeynmanGraphs, for
 by a minimal canonical form over the degree-preserving vertex bijections;
 no counting path needs them either.
 
+A loop is placed only when there is a single position: the lone 2-valent
+vertex at g = 2, whose loop is the whole graph.  With two or more
+positions no pipeline can use one.  A loop moves no net weight through
+its vertex, so on a 3-valent vertex the third germ's edge, of weight at
+least 1, cannot balance; and on a 2-valent vertex it takes both germs,
+cutting that vertex off from the rest.  So the rule lives here, and no
+caller chooses it.
+
 Automorphism counts are multigraph automorphisms: vertex bijections fixing
 the edge multiset, times permutations of parallel edges, times a factor 2
 per loop (the two half-edges of a loop may be swapped).  This is the group
@@ -117,21 +125,6 @@ def vertex_profiles(g: int):
             yield t, c
 
 
-def genus(graph: FeynmanGraph) -> int:
-    """First Betti number r - s + 1 of a connected graph."""
-    if not graph.is_connected():
-        raise ValueError("genus is defined here for connected graphs only")
-    return len(graph.edges) - graph.vertex_count + 1
-
-
-def relabel(graph: FeynmanGraph, mapping) -> FeynmanGraph:
-    """Apply a vertex bijection (mapping[v] = new name)."""
-    return FeynmanGraph(
-        graph.vertex_count,
-        tuple((mapping[u], mapping[v]) for u, v in graph.edges),
-    )
-
-
 def multiset_automorphisms(items) -> int:
     """Permutations of equal items that fix a multiset: the product of m!
     over the multiplicities m (parallel edges, identical quotient edges)."""
@@ -195,28 +188,24 @@ def canonical_form(graph: FeynmanGraph) -> tuple:
     return best
 
 
-def edge_tree(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
+@lru_cache(maxsize=None)
+def edge_tree(three_valent: int, two_valent: int) -> tuple:
     """The enumeration tree of every connected multigraph on the positions
     0..s-1 with `three_valent` vertices of valence 3 and `two_valent` of
     valence 2, each edge multiset once: one (valences, nodes) root per
     choice of the 3-valent positions.
 
     The least vertex v with open valence takes the next edge; its partner
-    u is v itself (a loop) or a later open vertex, never smaller than the
-    partner of the edge v took before.  So a multiset is built in one way
-    only, in sorted edge order, and needs no canonical form.  A node is
+    u is a later open vertex, or v itself (a loop) when v is the one
+    position (module docstring), never smaller than the partner of the
+    edge v took before.  So a multiset is built in one way only, in sorted
+    edge order, and needs no canonical form.  A node is
     (v, u, open ends left at v, at u, parallel to the edge before,
     children), and the path from its root spells the first edges of every
     graph below it.  Only subtrees that end in a connected graph are kept,
     so every node has a leaf below it, and the leaves are the nodes
-    without children.  Cached per profile: every spelling of a call
-    (loops passed by position, by keyword or left out) shares one entry.
+    without children.  Cached per profile.
     """
-    return _edge_tree(three_valent, two_valent, bool(allow_loops))
-
-
-@lru_cache(maxsize=None)
-def _edge_tree(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
     if three_valent < 0 or two_valent < 0 or three_valent + two_valent < 1:
         raise ValueError("need a positive number of vertices")
     total = 3 * three_valent + 2 * two_valent
@@ -236,8 +225,8 @@ def _edge_tree(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
         if v == s:
             return () if connected(s, chosen) else None
         nodes = []
-        for u in range(floor, s):
-            if remaining[u] < 1 + (u == v) or (u == v and not allow_loops):
+        for u in range(max(floor, v + (s > 1)), s):
+            if remaining[u] < 1 + (u == v):
                 continue
             parallel = bool(chosen) and chosen[-1] == (v, u)
             remaining[v] -= 1
@@ -261,7 +250,7 @@ def _edge_tree(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
     return tuple(roots)
 
 
-def walk_tree(three_valent: int, two_valent: int, allow_loops: bool, start, step, leaf) -> None:
+def walk_tree(three_valent: int, two_valent: int, start, step, leaf) -> None:
     """Walk ``edge_tree`` depth first from the state `start` at each root.
 
     At each node, ``step(state, valences, v, u, left_v, left_u, parallel)``
@@ -283,32 +272,28 @@ def walk_tree(three_valent: int, two_valent: int, allow_loops: bool, start, step
                 leaf(below, valences, tuple(path))
             path.pop()
 
-    for valences, nodes in edge_tree(three_valent, two_valent, allow_loops):
+    for valences, nodes in edge_tree(three_valent, two_valent):
         descend(nodes, start, valences)
 
 
-def labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> tuple:
+@lru_cache(maxsize=None)
+def labelled_graphs(three_valent: int, two_valent: int) -> tuple:
     """The leaves of ``edge_tree`` as FeynmanGraphs, in walk order, cached
     per profile like the tree."""
-    return _labelled_graphs(three_valent, two_valent, bool(allow_loops))
-
-
-@lru_cache(maxsize=None)
-def _labelled_graphs(three_valent: int, two_valent: int, allow_loops: bool) -> tuple:
     s = three_valent + two_valent
     out = []
-    walk_tree(three_valent, two_valent, allow_loops, True, lambda *_edge: True,
+    walk_tree(three_valent, two_valent, True, lambda *_edge: True,
               lambda _state, _valences, edges: out.append(FeynmanGraph(s, edges)))
     return tuple(out)
 
 
-def enumerate_graphs(three_valent: int, two_valent: int, allow_loops: bool = False) -> list:
+def enumerate_graphs(three_valent: int, two_valent: int) -> list:
     """One GraphClass per isomorphism type of connected multigraph whose
     degree sequence has exactly `three_valent` vertices of valence 3 and
     `two_valent` of valence 2: the canonical forms of the labelled graphs
     whose 3-valent vertices get the low labels."""
     target = [3] * three_valent + [2] * two_valent
-    labelled = labelled_graphs(three_valent, two_valent, allow_loops)
+    labelled = labelled_graphs(three_valent, two_valent)
     found = {}
     for graph in (g for g in labelled if g.degrees() == target):
         canon = canonical_form(graph)

@@ -33,9 +33,7 @@ it searched again for each graph: the partial flows over a path of the
 tree are formed once, at the node that ends it, by one _extend step
 from those of its parent, and serve every graph below; a node with no
 partial flow cuts its subtree.  The balance is searched once per edge
-prefix.  Loops occur only at g = 2: a loop balances only at a lone
-2-valent vertex, while at a 3-valent vertex it leaves the third germ
-unbalanced.
+prefix.  The graphs module says why the only loop is the one at g = 2.
 
 The twisted covers upstairs are double covers with a fixed-point-free-on-
 edges involution: each 3-valent vertex v doubles into (v,+) and (v,-), each
@@ -146,29 +144,14 @@ def _is_balanced(edges, s):
 
 def _enumerate_multisets(d, g):
     """All balanced connected degree-d edge multisets with one 2- or
-    3-valent vertex per position, as sorted tuples, ascending: labelled
-    graphs (loops only at g = 2) x their decorations, balanced flow
-    first and crossings after, without the count's cut."""
+    3-valent vertex per position, as sorted tuples, ascending: the leaves
+    of graphs.edge_tree x their decorations, balanced flow first and
+    crossings after, without the count's cut."""
     found = []
     for t, c in vertex_profiles(g):
-        walk_tree(t, c, g == 2, [((0,) * (g - 1), d, ())], partial(_extend, d, False),
+        walk_tree(t, c, [((0,) * (g - 1), d, ())], partial(_extend, d, False),
                   lambda flows, _valences, _pairs: found.extend(_quotients(flows)))
     return sorted(found)
-
-
-def _decorations(pairs, s, d):
-    """The edge multisets (i, j, k, w) of the one graph with the sorted
-    edge pairs `pairs`: sum of w*k equal to d, balanced at every position,
-    each once, as sorted tuples: ``_extend`` folded over the pairs."""
-    valences = [sum(pair.count(x) for pair in pairs) for x in range(s)]
-    left = list(valences)
-    flows = [((0,) * s, d, ())]
-    for n, (u, v) in enumerate(pairs):
-        left[u] -= 1
-        left[v] -= 1
-        flows = _extend(d, False, flows, valences, u, v, left[u], left[v],
-                        n > 0 and pairs[n - 1] == (u, v))
-    return _quotients(flows)
 
 
 def _quotients(flows):
@@ -518,7 +501,7 @@ def count_tropical(d: int, g: int) -> Fraction:
             total += Fraction(weights, automorphisms) * _lift_factor(pairs, s)
 
     for t, c in vertex_profiles(g):
-        walk_tree(t, c, g == 2, [((0,) * s, d, ())], partial(_extend, d, True), leaf)
+        walk_tree(t, c, [((0,) * s, d, ())], partial(_extend, d, True), leaf)
     return 2 ** (g - 1) * total
 
 

@@ -454,14 +454,15 @@ def test_unusable_cache_file_answers_uncached(tmp_path, capsys, kind, fmt):
     assert not (tmp_path / "missing").exists()
 
 
-def run_command_line(*argv):
+def run_command_line(*argv, stdout=subprocess.PIPE):
     """One command-line run in a fresh interpreter, with default warning
-    filters: (exit code, stdout, stderr)."""
+    filters: (exit code, stdout, stderr); stdout is None when the run
+    writes to the given `stdout` instead of a pipe read here."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("PYTHONWARNINGS", None)
-    done = subprocess.run([sys.executable, "-m", "twisted_hurwitz.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-m", "twisted_hurwitz.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=300)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -482,6 +483,32 @@ def test_cache_warnings_print_one_line_each(tmp_path, case):
                                       "--cache-file", str(cache_file))
     assert (code, out.splitlines()[0]) == (0, "16")
     assert re.fullmatch("warning: %s\n" % message, err), err
+
+
+@pytest.mark.parametrize("command", ["compute", "validate"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, command, unbuffered):
+    # the reader is gone before the first write, which fails in a print
+    # (unbuffered) or in the last flush: no traceback on stderr, the
+    # documented exit code, and compute has stored its record first
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    cache_file = tmp_path / "cache.jsonl"
+    argv = {"compute": ("compute", "--method", "fock", "-d", "2", "-g", "3",
+                        "--cache-file", str(cache_file)),
+            "validate": ("validate", "-d", "3", "-g", "4")}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _out, err = run_command_line(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (cli.EXIT_BROKEN_PIPE, "")
+    if command == "compute":
+        (line,) = cache_file.read_text().splitlines()
+        assert json.loads(line)["numerator"] == "20"
 
 
 @pytest.mark.parametrize("kind", ["directory", "under a file"])
@@ -563,6 +590,15 @@ def test_validate_empty_grid_exit_2(capsys, argv, reason):
     # an empty grid checks no identity, so it must not report them all PASS
     code, out, err = run(capsys, "validate", *argv)
     assert (code, out, err) == (2, "", "incompatible parameters: %s\n" % reason)
+
+
+def test_validate_reports_a_wrong_value_as_fail(capsys, monkeypatch):
+    real = cli.count_tropical
+    monkeypatch.setattr(cli, "count_tropical", lambda d, g: real(d, g) + 1)
+    code, out, err = run(capsys, "validate", "-d", "1", "-g", "2")
+    lines = out.splitlines()
+    assert "tropical==sym:FAIL" in lines[1]
+    assert (code, lines[-1], err) == (1, "validate: 1 FAIL", "")
 
 
 def test_validate_budget_skips(capsys):

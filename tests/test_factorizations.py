@@ -219,17 +219,41 @@ def test_layer_right_factor_is_a_function_of_the_left():
 
 
 def test_per_degree_data_is_built_once():
-    # the tables are tuples, so the moves and the alphas' bytes are cached by
-    # value: every sigma of a degree, and every later query, reuses them
+    # the tables are tuples, so the moves are cached by value and the
+    # alphas' bytes by the table's identity: every sigma of a degree, and
+    # every later query, reuses them
     tables = _twisted_tables(3)
     assert all(type(table) is tuple for table in tables)
     count_twisted(3, 3)
     moves = factorizations._moves.cache_info().misses
-    group = factorizations._group_bytes.cache_info().misses
+    groups = len(factorizations._GROUP_BYTES)
     count_twisted(3, 4)
     count_twisted(3, 5, connected=False)
     assert factorizations._moves.cache_info().misses == moves
-    assert factorizations._group_bytes.cache_info().misses == group
+    assert len(factorizations._GROUP_BYTES) == groups
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts the calls of its __hash__."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountingTuple.hashes += 1
+        return super().__hash__()
+
+
+def test_repeat_group_bytes_calls_hash_nothing():
+    # a repeat call, once per sigma orbit, finds the group's bytes without
+    # hashing the whole group
+    alphas = _CountingTuple(_twisted_tables(3)[2])
+    sigma = _twisted_tables(3)[3][0]
+    first = factorizations._group_bytes(alphas)
+    lookup = _alpha_lookup(sigma, alphas)
+    _CountingTuple.hashes = 0
+    assert factorizations._group_bytes(alphas) is first
+    assert _alpha_lookup(sigma, alphas) == lookup
+    assert _CountingTuple.hashes == 0
 
 
 def test_frontier_values_agree_with_a_second_pipeline():

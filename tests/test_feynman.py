@@ -1,6 +1,7 @@
 """Graph-sum pipeline: propagators, balanced-coefficient extraction, assembly."""
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from twisted_hurwitz.graphs import (
     enumerate_graphs,
     labelled_graphs,
     multiset_automorphisms,
-    relabel,
     vertex_automorphisms,
     vertex_profiles,
 )
@@ -195,6 +195,14 @@ def test_integrals_on_the_desk_grid_are_rational():
                     assert value.is_rational  # raises NonRationalIntegral otherwise
 
 
+def test_non_rational_integral_raises(monkeypatch):
+    # no graph gives one; a stubbed extraction shows the refusal and its message
+    monkeypatch.setattr(feynman, "_multidegree_integrals",
+                        lambda graph, order, cap: {(2, 0, 0): RadicalScalar.sqrt(2)})
+    with pytest.raises(feynman.NonRationalIntegral, match=r"is sqrt\(2\)$"):
+        feynman_integral(_theta(), (0, 1), (2, 0, 0))
+
+
 def _graph_classes(g):
     for t, c in vertex_profiles(g):
         yield from enumerate_graphs(t, c)
@@ -263,7 +271,8 @@ def _class_of(graph):
     degrees = graph.degrees()
     ranked = sorted(range(graph.vertex_count), key=lambda v: -degrees[v])
     mapping = {v: new for new, v in enumerate(ranked)}
-    return canonical_form(relabel(graph, mapping))
+    return canonical_form(
+        FeynmanGraph(graph.vertex_count, [(mapping[u], mapping[v]) for u, v in graph.edges]))
 
 
 def test_order_sum_is_the_labelled_identity_sum():
@@ -327,7 +336,7 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
-    graphs._edge_tree.cache_clear()
+    graphs.edge_tree.cache_clear()
     feynman._balanced_sums.cache_clear()
     feynman._integer_propagator.cache_clear()
 
@@ -346,8 +355,8 @@ def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch
 def test_counting_paths_build_no_graph_list(monkeypatch):
     # both pipelines walk one cached edge tree per profile and never list
     # the profile's graphs
-    graphs._edge_tree.cache_clear()
-    graphs._labelled_graphs.cache_clear()
+    graphs.edge_tree.cache_clear()
+    graphs.labelled_graphs.cache_clear()
     feynman._balanced_sums.cache_clear()
 
     def forbidden(*_args, **_kwargs):
@@ -356,11 +365,11 @@ def test_counting_paths_build_no_graph_list(monkeypatch):
     monkeypatch.setattr(graphs, "FeynmanGraph", forbidden)
     # oracle: the symmetric-group count, count_twisted(2, 5, connected=True)
     assert tropical.count_tropical(2, 5) == 256
-    misses = graphs._edge_tree.cache_info().misses
+    misses = graphs.edge_tree.cache_info().misses
     assert misses == len(list(vertex_profiles(5)))
     assert generating_series_coefficient(2, 5) == 256
-    assert graphs._edge_tree.cache_info().misses == misses
-    assert graphs._labelled_graphs.cache_info().misses == 0
+    assert graphs.edge_tree.cache_info().misses == misses
+    assert graphs.labelled_graphs.cache_info().misses == 0
 
 
 def test_counts_beyond_the_desk_grid():
@@ -443,12 +452,16 @@ def test_prefactor_is_the_tropical_count_graph_by_graph(d, g):
     # (weight-1 two-valent vertices dropped, as tropical drops them) sum to
     # G's graph-sum term 2^(g-1) (2^g' - delta_0c) / 2^(c+1) * f(G) / prod m!(G)
     s = g - 1
+    # the tropical walk's quotients, grouped by the graph they decorate
+    decorations = defaultdict(list)
+    for edges in tropical._enumerate_multisets(d, g):
+        decorations[tuple(sorted((min(i, j), max(i, j)) for i, j, _k, _w in edges))].append(edges)
     for t, c in vertex_profiles(g):
         weight = Fraction(2 ** (g - 1) * (2 ** (t // 2 + 1) - (c == 0)), 2 ** (c + 1))
         for graph in labelled_graphs(t, c):
             tropical_side = sum(
                 (tropical.quotient_multiplicity(edges, g)
-                 for edges in tropical._decorations(graph.edges, s, d)
+                 for edges in decorations[graph.edges]
                  if 1 not in tropical._shape(edges, s).omegas.values()),
                 Fraction(0))
             graph_sum_side = weight * Fraction(_balanced_sum(graph, d),
