@@ -45,7 +45,7 @@ The module keeps the scan of the file it looked up last (one file's at
 most, keyed by path; ``clear`` drops it): the bytes of its complete
 lines, through the last newline, their count, its non-canonical lines as
 (line number, bytes) and its index.  The file only grows by appends, so
-a later lookup first reads the file in 64 KiB chunks and checks that it
+a later lookup first reads the file in 256 KiB chunks and checks that it
 still starts with exactly those bytes, then reads the rest into the same
 buffer and runs the regex over the appended complete lines only, which
 blanks and indexes them.  If any byte of the prefix differs (the file
@@ -134,6 +134,9 @@ _SPELLING = {
     bool: rb"(?:true|false)",
 }
 
+#: KEY_FIELDS with the type each decodes to
+_KEY_KINDS = tuple((name, dict(LINE_FIELDS)[name]) for name in KEY_FIELDS)
+
 DEFAULT_CACHE_PATH = Path.home() / ".cache" / "twisted-hurwitz" / "results.jsonl"
 
 
@@ -156,20 +159,27 @@ def _index_key(spellings) -> bytes:
 
 def _key_spelling(key: dict):
     """The index key of the canonical lines whose key fields equal *key*'s,
-    or None when a key value is not canonically spelled."""
-    kinds = dict(LINE_FIELDS)
+    or None when a key value is not canonically spelled.  Each value is
+    spelled as ``store``'s ``json.dumps`` spells it, without calling it: a
+    str of printable ASCII but ``"`` and ``\\`` between quotes, an int of
+    at most 18 digits in decimal, a bool as ``true`` or ``false``, as
+    _SPELLING has it.  A value of another type, a longer int or a str with
+    another character has no such spelling."""
     spellings = []
-    for name in KEY_FIELDS:
+    for name, kind in _KEY_KINDS:
         value = key.get(name)
-        if type(value) is not kinds[name]:
+        if type(value) is not kind:
             return None
-        try:
-            text = json.dumps(value).encode()
-        except ValueError:  # an int past the str conversion limit
-            return None
-        if not re.fullmatch(_SPELLING[kinds[name]], text):
-            return None
-        spellings.append(text)
+        if kind is str:
+            if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+                return None
+            spellings.append(('"%s"' % value).encode())
+        elif kind is int:
+            if not -10**18 < value < 10**18:
+                return None
+            spellings.append(b"%d" % value)
+        else:
+            spellings.append(b"true" if value else b"false")
     return _index_key(spellings)
 
 

@@ -6,6 +6,7 @@ every line does."""
 import json
 import os
 import random
+import re
 import sys
 import threading
 import warnings
@@ -500,6 +501,65 @@ def test_key_spellings_are_equal_exactly_when_the_keys_are(key, values, changed)
     spelling = cache._key_spelling(key)
     assert _typed({f: json.loads(v) for f, v in zip(KEY_FIELDS, spelling.split(b"\n"))}) == _typed(key)
     assert (spelling == cache._key_spelling(other)) == (_typed(key) == _typed(other))
+
+
+def _spelling_by_json(key: dict):
+    """The index key as ``json.dumps`` and a fullmatch of _SPELLING define
+    it: the oracle ``_key_spelling`` must agree with."""
+    kinds = dict(LINE_FIELDS)
+    spellings = []
+    for name in KEY_FIELDS:
+        value = key.get(name)
+        if type(value) is not kinds[name]:
+            return None
+        try:
+            text = json.dumps(value).encode()
+        except ValueError:  # an int past the str conversion limit
+            return None
+        if not re.fullmatch(cache._SPELLING[kinds[name]], text):
+            return None
+        spellings.append(text)
+    return b"\n".join(spellings)
+
+
+_MISSING = object()
+
+#: any key value: text with escapes, controls, DEL and non-ASCII, ints at
+#: and past the 18-digit bound, bools, None, or no value at all
+ANY_VALUE = st.one_of(
+    st.text(st.one_of(st.sampled_from('"\\\x00\x1f \x7f\x80\xe9\u2028~'), st.characters())),
+    st.integers(),
+    st.sampled_from([10**18 - 1, -(10**18) + 1, 10**18, -(10**18), 10**5000, -(10**5000)]),
+    st.booleans(),
+    st.none(),
+    st.just(_MISSING),
+)
+
+
+@settings(max_examples=500)
+@given(canonical_values(KEY_FIELDS), st.dictionaries(st.sampled_from(KEY_FIELDS), ANY_VALUE))
+def test_key_spelling_agrees_with_json_on_any_value(key, changes):
+    key = {**key, **changes}
+    key = {f: v for f, v in key.items() if v is not _MISSING}
+    assert cache._key_spelling(key) == _spelling_by_json(key)
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in ("d", "g") for v in (10**18 - 1, -(10**18) + 1, 10**18, -(10**18), 10**5000,
+                                          True, False, None, 1.0, "2")),
+    *(("connected", v) for v in (1, 0, None, "true")),
+    *(("method", v) for v in ('fo"ck', "fo\\ck", "fo\x7fck", "f\u00f6ck", "fock\n", 7, None)),
+    *((f, _MISSING) for f in KEY_FIELDS),
+], ids=lambda v: "10^5000" if v == 10**5000 else None)
+def test_key_spelling_agrees_with_json_at_the_edges(field, value):
+    """Of these values only the two 18-digit ints are canonically spelled."""
+    key = {"method": "fock", "d": 2, "g": 3, "connected": False, "tool_version": "0.1.0",
+           "normalization_reading": ""}
+    key[field] = value
+    if value is _MISSING:
+        del key[field]
+    assert cache._key_spelling(key) == _spelling_by_json(key)
+    assert (cache._key_spelling(key) is None) == (value not in (10**18 - 1, -(10**18) + 1))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -694,3 +694,99 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip().startswith("twisted-hurwitz ")
+
+
+# -- parsing ---------------------------------------------------------------------
+
+#: valid argv per subcommand, as main parses them with the subcommand's parser
+VALID_ARGVS = {
+    "compute": [
+        ["compute", "--method", "fock", "-d", "2", "-g", "3"],
+        ["compute", "--method", "symgroup", "-d", "2", "-g", "3", "--connected", "--format", "json",
+         "--budget", "5", "--threads", "2", "--cache-file", "c.jsonl"],
+        ["compute", "--method=symgroup", "-d2", "-g", "3", "--disc", "--form", "csv"],
+        ["compute", "-g", "-1", "-d", "0", "--method", "tropical"],
+    ],
+    "validate": [["validate", "-d", "3", "-g", "5", "--budget", "10"], ["validate", "--g-max=2", "-d", "1"]],
+    "export-covers": [["export-covers", "-d", "2", "-g", "3", "--out", "x.json", "--format", "dot"]],
+    "cache": [["cache", "show"], ["cache", "clear", "--cache-file", "c.jsonl"]],
+}
+
+FIT = ["--method", "fock", "-d", "2", "-g", "3"]
+
+#: argvs every one of which ends in a SystemExit
+EXITING_ARGVS = [
+    ["compute", "--help"],
+    ["cache", "-h"],
+    ["compute", "--method", "fock", "-d", "2"],  # a required argument missing
+    ["compute", "--method", "fack", "-d", "2", "-g", "3"],
+    ["compute", *FIT, "--budget", "abc"],
+    ["compute", *FIT, "--connected", "--disconnected"],
+    ["compute", *FIT, "--bogus"],
+    ["compute", *FIT, "--bogus", "x", "--", "y"],
+    ["compute", *FIT, "--version"],
+    ["compute", *FIT, "--=x"],  # ambiguous at the top level, before the subcommand
+    ["cache", "show", "extra"],
+    ["cache", "shaw"],
+    ["validate", "-d", "3"],
+    [],
+    ["--version"],
+    ["--help"],
+    ["comp"],
+    ["--version", "compute", *FIT],
+]
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """Each command handler replaced by one that records its arguments."""
+    seen = []
+    for name in cli.build_parser().subcommands:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _outcome(call, argv, capsys):
+    """What parsing *argv* with *call* gives: the Namespace or the SystemExit
+    code, then stdout and stderr."""
+    try:
+        result = call(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_the_valid_argvs_cover_every_subcommand():
+    assert set(VALID_ARGVS) == set(cli.build_parser().subcommands)
+
+
+@pytest.mark.parametrize("argv", [argv for argvs in VALID_ARGVS.values() for argv in argvs] + EXITING_ARGVS)
+def test_main_parses_as_the_full_parser(capsys, handled, argv):
+    """Namespace or exit code, stdout and stderr are the full parser's, byte for byte."""
+    def through_main(argv):
+        assert main(list(argv)) == 0
+        return handled.pop()
+
+    expected = _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert _outcome(through_main, argv, capsys) == expected
+    if argv in EXITING_ARGVS:
+        assert expected[0][0] == "exit"
+    else:
+        assert expected[0].command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [argv for argvs in VALID_ARGVS.values() for argv in argvs] + [
+    ["compute", *FIT, "--bogus"], ["compute", *FIT, "--budget", "abc"], ["cache", "show", "extra"]])
+def test_a_named_subcommand_never_runs_the_top_level_parse(capsys, monkeypatch, handled, argv):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the top-level parser parsed")
+
+    parser = cli.build_parser()
+    for name in ("parse_args", "parse_known_args", "parse_intermixed_args", "parse_known_intermixed_args"):
+        monkeypatch.setattr(parser, name, refuse)
+    try:
+        assert main(list(argv)) == 0
+    except SystemExit as exc:
+        assert exc.code == 2
+    capsys.readouterr()
