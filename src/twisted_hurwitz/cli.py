@@ -25,14 +25,10 @@ stderr, ``warning:`` and the message, without the source location.
 subcommand's parser alone and reports what is left over through the
 top-level parser, so every message and exit code is the full parser's;
 an empty argv, a top-level option, an unknown command and an argument
-``--=...`` go through the full parser.  The full parser first classifies
-every argument itself, trying each option it does not own as an
-abbreviation of its own, then hands them all to the subparser: that
-doubled the parse.  A cache hit through ``main`` on a small cache file
-took 150-175 µs in process and now takes 109-120 µs (2-core VM, Python
-3.11).  A one-shot command-line run takes over 70 ms, nearly all of it
-starting the interpreter and importing, so the gain goes to callers that
-send many queries through one interpreter.
+``--=...`` go through the full parser.  The full parser would first
+classify every argument itself, trying each option it does not own as an
+abbreviation of its own, and then hand them all to the subparser, so the
+subcommand's parser alone parses each argument once.
 
 Exit codes: 0 success, 1 a ``validate`` identity FAILs, 2 incompatible
 parameters (or, from argparse, a malformed argument such as ``--budget

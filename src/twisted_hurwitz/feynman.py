@@ -75,7 +75,7 @@ Under the identity order an edge (u, v), u < v, runs from u to v, and
 its integer factor depends only on (vertex count, tail, head, d, whether
 an endpoint is 2-valent, designation count): that key fixes every
 exponent and every c_w, and ``_integer_propagator`` builds each
-propagator once.  ``_balanced_sums`` walks ``graphs.edge_tree``, whose
+propagator once.  ``_profile_sum`` walks ``graphs.edge_tree``, whose
 node is an edge with the open ends it leaves, so every graph's product
 of its first k edges is formed once, at the node that ends that prefix,
 and serves every graph below it.  An empty partial product makes the
@@ -85,6 +85,13 @@ series products at (3,6) instead of one per edge, 3,030, and 20,065 at
 fold the same product over one graph's edges in any vertex order
 (``_factors``), so the walk and ``_integrand`` give every graph the same
 value.
+
+One fraction per profile.  Every graph of the profile (t, c) has the
+same edge count E = (3t + 2c)/2, and the multiplicities m of its
+distinct edges sum to E, so E! / prod m! is a multinomial coefficient,
+an integer.  The walk therefore adds the integer
+f(G, identity) * (E! / prod m!(G)) at each leaf with a nonzero f and
+forms one ``Fraction`` over E! per profile, not one per graph.
 
 The prefactor is derived, not fitted.  The count is
 
@@ -124,8 +131,9 @@ balancing holds, so a surviving radical signals a real bug rather than
 numerical noise.
 
 Each labelled graph's term is a pure function of the graph, whose work
-the walk shares only through equal prefixes; results are combined by
-exact arithmetic in the tree's fixed order.
+the walk shares only through equal prefixes.  No answer is memoised:
+only the propagators and the edge tree, which every query shares, are
+kept between calls.
 """
 
 from __future__ import annotations
@@ -133,6 +141,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from types import MappingProxyType
 
 from .factorizations import count_twisted
@@ -314,7 +323,7 @@ def _graph_of(graph_or_class) -> FeynmanGraph:
 def _integrand(graph: FeynmanGraph, order: tuple, cap: int) -> TruncatedSeries:
     """x-balanced part of the propagator product under one vertex order, in
     the integer rule: one graph's product for any order, where the walk of
-    ``_balanced_sums`` serves the identity order.
+    ``_profile_sum`` serves the identity order.
 
     Each product with a bound factor of ``_factors`` forms only the terms
     whose x-exponent at every vertex stays within what the remaining
@@ -439,30 +448,29 @@ def direct_cover_sum(graph_class, order, a) -> RadicalScalar:
 _READING = "2^(g-1) multiplies, #Aut divides"
 
 
-@lru_cache(maxsize=None)
-def _balanced_sums(t: int, c: int, d: int) -> MappingProxyType:
-    """Map the edge tuple of each labelled graph of the profile (t, c)
-    whose f(G, identity) at degree d is nonzero to that value; read-only,
-    as every caller gets the same cached mapping.
-
-    One walk of ``graphs.edge_tree``: the state at a node is the product
-    of the bound factors of the edges on its path (module docstring,
-    "Shared prefixes"), and an empty product cuts the subtree below."""
+def _profile_sum(t: int, c: int, d: int) -> Fraction:
+    """Sum of f(G, identity) / prod m!(G) at degree d over the labelled
+    graphs G of the profile (t, c), in one walk of ``graphs.edge_tree``
+    whose state is the product of the bound factors on the path (module
+    docstring, "Shared prefixes").  Each leaf adds the integer
+    f * (E! // prod m!), exact as prod m! divides E! for E edges."""
     n = t + c
     zero_x = (0,) * n
-    sums = {}
+    edges_factorial = factorial((3 * t + 2 * c) // 2)
+    total = 0
 
     def step(series, valences, v, u, left_v, left_u, _parallel):
         # under the identity order the edge (v, u), v < u, runs from v to u
         return series * _integer_factor(n, v, u, d, valences[v], valences[u], left_v, left_u)
 
     def leaf(series, _valences, edges):
+        nonlocal total
         value = series.coefficient(d, zero_x)
         if value:
-            sums[edges] = value
+            total += value * (edges_factorial // multiset_automorphisms(edges))
 
     walk_tree(t, c, TruncatedSeries.constant(n, d, 1), step, leaf)
-    return MappingProxyType(sums)
+    return Fraction(total, edges_factorial)
 
 
 def _assemble(d: int, g: int) -> Fraction:
@@ -470,8 +478,7 @@ def _assemble(d: int, g: int) -> Fraction:
     for t, c in _vertex_profiles(g):
         quotient_genus = t // 2 + 1
         weight = Fraction(2 ** quotient_genus - (1 if c == 0 else 0), 2 ** (c + 1))
-        for edges, value in _balanced_sums(t, c, d).items():
-            total += weight * Fraction(value, multiset_automorphisms(edges))
+        total += weight * _profile_sum(t, c, d)
     return total * 2 ** (g - 1)
 
 

@@ -132,21 +132,16 @@ class ZPoly:
         return ZPoly(out)
 
     def __mul__(self, other):
-        if isinstance(other, ZPoly):
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-            return ZPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return ZPoly(out)
 
     def scale(self, c):
         return ZPoly({e: v * c for e, v in self.coeffs.items()})
-
-    def coefficient(self, e):
-        return self.coeffs.get(e, 0)
 
     def degree(self):
         return max(self.coeffs, default=0)
@@ -157,9 +152,6 @@ class ZPoly:
         if isinstance(other, (int, Fraction)):
             return self == ZPoly.const(other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -212,9 +204,6 @@ class FockVector:
         if isinstance(c, ZPoly):
             return FockVector({mu: p * c for mu, p in self.terms.items()})
         return FockVector({mu: p.scale(c) for mu, p in self.terms.items()})
-
-    def coefficient(self, mu):
-        return self.terms.get(tuple(mu), ZPoly())
 
     def __eq__(self, other):
         return isinstance(other, FockVector) and self.terms == other.terms
@@ -402,7 +391,6 @@ def twisted_double_disconnected(mu, nu, g):
     return _prefactor_sum(me, g) / (parts_product(mu) * parts_product(nu))
 
 
-@lru_cache(maxsize=None)
 def elliptic_disconnected(d, g):
     """Disconnected twisted invariant of the elliptic curve, degree d, genus g:
     the prefactor sum of the integer trace of M^(g-1) on degree d."""

@@ -169,7 +169,8 @@ def _extend(d, cut, level, valences, u, v, left_u, left_v, parallel):
     The flow gives each edge an orientation and a weight w <= d.  A
     position's balance is checked when its last edge is placed (no open
     end left), and a closing non-loop edge takes the one orientation and
-    weight that balance it (a loop moves no weight and tries every w).  A
+    weight that balance it (a loop, placed only at the lone position of
+    g = 2, moves no weight and tries every w).  A
     backward edge (i >= j) needs k >= 1, so its weight is charged against
     d, and a flow whose backward weights would exceed d is cut.  Parallel
     edges take non-decreasing (i, j), so _crossings builds each multiset
@@ -193,8 +194,6 @@ def _extend(d, cut, level, valences, u, v, left_u, left_v, parallel):
         return out
     orientations = ((u, v, 1),) if u == v else ((u, v, 0), (v, u, 1))
     for net, spare, flow in level:
-        if u == v and not left_u and net[u]:  # a loop closing u moves no weight
-            continue
         for i, j, least in orientations:
             if parallel and (i, j) < flow[-1][:2]:
                 continue
@@ -344,8 +343,8 @@ class QuotientCover(Record):
     gluing sign (0 straight / 1 crossed) for each edge index listed by
     e33_indices(edges), lexicographically minimal in its isomorphism class.
     The quotient must be balanced, of degree d over the base point and
-    connected, so its genus is never negative.  ``shape``, computed once
-    here, is not a field.
+    connected, so its genus is never negative, and every position must be
+    2- or 3-valent.  ``shape``, computed once here, is not a field.
     """
 
     _fields = ("d", "g", "edges", "lift", "lift_automorphisms")
@@ -369,10 +368,13 @@ class QuotientCover(Record):
         if not connected(self.positions, ((i, j) for i, j, _k, _w in self.edges)):
             raise ValueError("quotient %r is disconnected: it does not join the positions "
                              "0..%d" % (self.edges, self.g - 2))
+        object.__setattr__(self, "shape", _shape(self.edges, self.positions))
+        if any(valence not in (2, 3) for valence in self.shape.valences):
+            raise ValueError("quotient %r has valences %r: every position must be 2- or "
+                             "3-valent" % (self.edges, self.shape.valences))
         if type(self.lift_automorphisms) is not int or self.lift_automorphisms < 1:
             raise ValueError("lift_automorphisms must be an int >= 1, not %r"
                              % (self.lift_automorphisms,))
-        object.__setattr__(self, "shape", _shape(self.edges, self.positions))
         if len(self.lift) != len(self.shape.e33):
             raise ValueError("lift has %d signs, expected %d"
                              % (len(self.lift), len(self.shape.e33)))

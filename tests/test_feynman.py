@@ -102,6 +102,8 @@ def test_oriented_edges_follow_the_order():
     assert all(e.tail == 1 and e.head == 0 for e in oriented_edges(graph, (1, 0)))
     with pytest.raises(ValueError):
         oriented_edges(graph, (0, 0))
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        propagator(oriented_edges(graph, (0, 1))[0], 0)
 
 
 # -- balanced-coefficient extraction ----------------------------------------------
@@ -130,6 +132,8 @@ def test_integral_argument_validation():
         feynman_integral(_theta(), (0, 1), (-1, 2, 0))
     with pytest.raises(ValueError):
         feynman_integral(_theta(), (0, 2), (1, 0, 0))
+    with pytest.raises(TypeError, match="expected a FeynmanGraph or GraphClass"):
+        feynman_integral(((0, 1),) * 3, (0, 1), (2, 0, 0))  # bare edges, not a graph
 
 
 @pytest.mark.parametrize("a", [(2.7, 0, 0), (2.0, 0, 0), (Fraction(2), 0, 0), (True, 1, 0),
@@ -261,8 +265,8 @@ def test_factor_limits_count_the_edge_ends_still_to_come():
 def _balanced_sum(graph, d):
     """f(graph, identity): the degree-d balanced coefficient under the
     identity vertex order, in the integer rule, as the count adds it."""
-    degrees = graph.degrees()
-    return feynman._balanced_sums(degrees.count(3), degrees.count(2), d).get(graph.edges, 0)
+    identity = tuple(range(graph.vertex_count))
+    return feynman._integrand(graph, identity, d).coefficient(d, (0,) * graph.vertex_count)
 
 
 def _class_of(graph):
@@ -325,11 +329,12 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
     feynman._integer_propagator.cache_clear()
     monkeypatch.setattr(RadicalScalar, "__init__", counting_init)
-    feynman._balanced_sums.cache_clear()
     for g in (3, 4, 5):
         for t, c in vertex_profiles(g):
             for d in (1, 2, 3):
-                feynman._balanced_sums(t, c, d)
+                feynman._profile_sum(t, c, d)
+                for graph in labelled_graphs(t, c):
+                    _balanced_sum(graph, d)
     assert built == []
     direct_cover_sum(_theta(), (0, 1), (3, 0, 0))  # the probe does count
     assert built
@@ -337,7 +342,6 @@ def test_balanced_sum_builds_no_radicals(monkeypatch):
 
 def test_counting_paths_run_no_canonical_form_or_automorphism_search(monkeypatch):
     graphs.edge_tree.cache_clear()
-    feynman._balanced_sums.cache_clear()
     feynman._integer_propagator.cache_clear()
 
     def forbidden(*_args, **_kwargs):
@@ -357,7 +361,6 @@ def test_counting_paths_build_no_graph_list(monkeypatch):
     # the profile's graphs
     graphs.edge_tree.cache_clear()
     graphs.labelled_graphs.cache_clear()
-    feynman._balanced_sums.cache_clear()
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a counting path built a FeynmanGraph")
@@ -390,13 +393,13 @@ def _all_labelled(g):
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
 def test_walk_values_are_the_identity_integrands(g):
-    # the walk against _integrand, one graph and one product chain at a time
-    for graph in _all_labelled(g):
-        identity = tuple(range(graph.vertex_count))
+    # each profile's fold, one walk and one fraction, against _integrand
+    # taken one graph and one product chain at a time, over prod m!
+    for t, c in vertex_profiles(g):
         for d in (1, 2, 3, 4):
-            series = feynman._integrand(graph, identity, d)
-            expected = series.coefficient(d, (0,) * len(identity))
-            assert _balanced_sum(graph, d) == expected, (graph, d)
+            expected = sum((Fraction(_balanced_sum(graph, d), multiset_automorphisms(graph.edges))
+                            for graph in labelled_graphs(t, c)), Fraction(0))
+            assert feynman._profile_sum(t, c, d) == expected, (t, c, d)
 
 
 def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
@@ -407,7 +410,6 @@ def test_walk_multiplies_each_shared_prefix_once(monkeypatch):
         products.append(1)
         return original(self, other)
 
-    feynman._balanced_sums.cache_clear()
     monkeypatch.setattr(feynman.TruncatedSeries, "__mul__", counting_mul)
     # oracle: count_tropical(3, 6)
     assert generating_series_coefficient(3, 6) == 240096
@@ -429,12 +431,10 @@ def test_integer_propagators_are_built_once_per_key(monkeypatch):
     monkeypatch.setattr(feynman, "_edge_series", counting_series)
     queries = ((3, 5), (2, 5), (3, 4), (2, 6))
     for d, g in queries:
-        feynman._balanced_sums.cache_clear()
         generating_series_coefficient(d, g)
     assert len(built) == feynman._integer_propagator.cache_info().currsize > 0
     # the same queries again, walked afresh, build no propagator
     for d, g in queries:
-        feynman._balanced_sums.cache_clear()
         generating_series_coefficient(d, g)
     assert len(built) == feynman._integer_propagator.cache_info().currsize
 

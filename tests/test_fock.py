@@ -249,6 +249,8 @@ def test_double_number_guards():
         twisted_double_disconnected((2,), (2,), 0)
     with pytest.raises(ValueError):
         elliptic_disconnected(0, 1)
+    with pytest.raises(ValueError):
+        elliptic_from_doubles(0, 1)
 
 
 def test_elliptic_assemblies_agree():
@@ -268,7 +270,6 @@ def test_elliptic_count_calls_apply_m_through_the_module(monkeypatch):
         return real(v, energy_cap)
 
     monkeypatch.setattr(fock, "apply_m", counted)
-    elliptic_disconnected.cache_clear()
     assert elliptic_disconnected(3, 5) == 22048
     assert calls
 
@@ -278,7 +279,6 @@ def test_elliptic_count_raises_on_a_broken_norm(monkeypatch):
     # leaves a remainder, which must raise rather than be floored away
     norm = fock._norm
     monkeypatch.setattr(fock, "_norm", lambda mu: norm(mu) + 1)
-    elliptic_disconnected.cache_clear()
     with pytest.raises(ArithmeticError, match="not a multiple"):
         elliptic_disconnected(3, 5)
 

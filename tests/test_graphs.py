@@ -59,6 +59,7 @@ def test_edge_normalization_and_validation():
     assert g.edges == ((0, 1), (1, 2))
     assert FeynmanGraph(2, [[1, 0], [1, 1]]).edges == ((0, 1), (1, 1))
     assert FeynmanGraph(0, ()).degrees() == []
+    assert not graphs.connected(0, ())  # no points, no component
     with pytest.raises(ValueError):
         FeynmanGraph(2, ((0, 2),))
 

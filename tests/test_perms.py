@@ -44,6 +44,8 @@ def test_from_cycles_and_back():
     assert perms.cycles_str(p) == "(1 4)(2 3)"
     # digit shorthand reads the same way
     assert perms.from_cycles(4, "(14)(23)") == p
+    # an empty cycle names no point
+    assert perms.from_cycles(4, "()(1 2)") == perms.from_cycles(4, "(1 2)")
     assert perms.cycles_str(perms.identity(3)) == "e"
     assert perms.cycle_type(perms.from_cycles(6, "(1 2 3)(4 5)")) == (3, 2, 1)
 
@@ -63,6 +65,11 @@ def test_pairing_involution(d):
     tau = perms.pairing_involution(d)
     assert perms.compose(tau, tau) == perms.identity(2 * d)
     assert all(tau[i] != i for i in range(2 * d))
+
+
+def test_pairing_involution_needs_a_positive_degree():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        perms.pairing_involution(0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -78,3 +78,9 @@ def test_bound_refuses_ends_off_the_variables_and_negative_limits():
     for args in ((2, 0, 1, 1), (0, -1, 1, 1), (0, 1, -1, 0), (0, 1, 0, -1)):
         with pytest.raises(ValueError):
             s.bound(*args)
+
+
+def test_series_refuses_negative_sizes():
+    for args in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            TruncatedSeries(*args)

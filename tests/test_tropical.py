@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
@@ -644,11 +645,12 @@ def test_constructor_and_argument_validation():
         enumerate_quotient_covers(0, 3)
     with pytest.raises(ValueError):
         enumerate_quotient_covers(2, 1)
+    # a ring of 13 two-valent positions, one edge crossing the base point
     big = QuotientCover(
-        d=13,
-        g=2,
-        edges=tuple((0, 0, 1, 1) for _ in range(13)),
-        lift=tuple(0 for _ in range(13)),
+        d=2,
+        g=14,
+        edges=tuple((i, i + 1, 0, 2) for i in range(12)) + ((12, 0, 1, 2),),
+        lift=(),
         lift_automorphisms=1,
     )
     with pytest.raises(ValueError, match="12"):
@@ -699,6 +701,16 @@ def test_disconnected_covers_are_refused():
     with pytest.raises(ValueError, match="disconnected"):
         QuotientCover(d=2, g=5, edges=((0, 1, 0, 1), (1, 0, 1, 1), (2, 3, 0, 1), (3, 2, 1, 1)),
                       lift=(), lift_automorphisms=1)
+
+
+@pytest.mark.parametrize("edges,valences", [
+    (((0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1)), (4, 2)),
+    (((0, 1, 0, 1), (1, 0, 1, 1)) * 2, (4, 4)),
+])
+def test_positions_neither_two_nor_three_valent_are_refused(edges, valences):
+    # balanced, of degree 2 and connected, so only the valence check refuses them
+    with pytest.raises(ValueError, match=re.escape("has valences %r" % (valences,))):
+        QuotientCover(d=2, g=3, edges=edges, lift=(1,), lift_automorphisms=1)
 
 
 def test_export_round_trip():
