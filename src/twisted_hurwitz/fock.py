@@ -3,7 +3,9 @@
 States are finite linear combinations of basis vectors b_mu indexed by
 partitions, with coefficients that are polynomials in a bookkeeping variable
 z (z grades the number of 4-valent vertices in the covers the matrix
-elements enumerate).  The ladder operators alpha_n obey
+elements enumerate).  A state is stored as plain dicts,
+{mu: {z-exponent: int}}; ZPoly is only the value that inner_product and
+matrix_element return.  The ladder operators alpha_n obey
 
     [alpha_n, alpha_m] = n * delta(n, -m),
 
@@ -112,63 +114,43 @@ def check_partition(mu):
 # z-polynomials
 
 
+def _poly_str(coeffs):
+    if not coeffs:
+        return "0"
+    bits = []
+    for e in sorted(coeffs):
+        c = coeffs[e]
+        if e == 0:
+            bits.append(str(c))
+        elif e == 1:
+            bits.append(f"{c}*z")
+        else:
+            bits.append(f"{c}*z^{e}")
+    return " + ".join(bits)
+
+
 class ZPoly:
-    """Polynomial in z, dict {exponent: coeff}.  Coefficients are kept as
-    given (ints on every path of this module) and zeros are dropped."""
+    """A matrix element as returned by inner_product and matrix_element: a
+    polynomial in z, dict {exponent: int}, zeros dropped.  It equals an int
+    or a Fraction when it is that constant."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return ZPoly(out)
-
-    def __mul__(self, other):
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return ZPoly(out)
-
-    def scale(self, c):
-        return ZPoly({e: v * c for e, v in self.coeffs.items()})
-
-    def degree(self):
-        return max(self.coeffs, default=0)
-
     def __eq__(self, other):
         if isinstance(other, ZPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == ZPoly.const(other)
+            return self.coeffs == ZPoly({0: other}).coeffs
         return NotImplemented
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                bits.append(str(c))
-            elif e == 1:
-                bits.append(f"{c}*z")
-            else:
-                bits.append(f"{c}*z^{e}")
-        return " + ".join(bits)
+        return _poly_str(self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +160,41 @@ class ZPoly:
 class FockVector:
     """Finite sum of z-polynomial multiples of basis vectors b_mu.
 
-    Treated as immutable: all operations return new vectors.
+    terms maps each partition to a dict {z exponent: int}; the constructor
+    drops zero coefficients and the partitions left with none.  Treated as
+    immutable: all operations return new vectors.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {mu: p for mu, p in (terms or {}).items() if p}
+        self.terms = {}
+        for mu, coeffs in (terms or {}).items():
+            kept = {e: c for e, c in coeffs.items() if c}
+            if kept:
+                self.terms[mu] = kept
 
     @classmethod
     def basis(cls, mu):
-        return cls({check_partition(mu): ZPoly.const(1)})
+        return cls({check_partition(mu): {0: 1}})
 
     @classmethod
     def zero(cls):
         return cls({})
 
     def __add__(self, other):
-        out = dict(self.terms)
+        out = {mu: dict(p) for mu, p in self.terms.items()}
         for mu, p in other.terms.items():
-            out[mu] = out.get(mu, ZPoly()) + p
+            acc = out.setdefault(mu, {})
+            for e, c in p.items():
+                acc[e] = acc.get(e, 0) + c
         return FockVector(out)
 
     def scale(self, c):
-        if isinstance(c, ZPoly):
-            return FockVector({mu: p * c for mu, p in self.terms.items()})
-        return FockVector({mu: p.scale(c) for mu, p in self.terms.items()})
+        """The vector times the int c."""
+        return FockVector(
+            {mu: {e: v * c for e, v in p.items()} for mu, p in self.terms.items()}
+        )
 
     def __eq__(self, other):
         return isinstance(other, FockVector) and self.terms == other.terms
@@ -214,7 +205,7 @@ class FockVector:
     def __repr__(self):
         if not self.terms:
             return "FockVector(0)"
-        bits = [f"({p})*b{mu}" for mu, p in sorted(self.terms.items())]
+        bits = [f"({_poly_str(p)})*b{mu}" for mu, p in sorted(self.terms.items())]
         return "FockVector(" + " + ".join(bits) + ")"
 
 
@@ -223,27 +214,29 @@ def b(mu):
 
 
 def apply_alpha(n, v):
-    """Act by the ladder operator alpha_n on a vector (n != 0).
+    """Act by the ladder operator alpha_n on a vector (n a non-zero int).
 
     alpha_{-k} (k>0) inserts a part k; alpha_k removes one part k and
     multiplies by k * (number of parts equal to k), the normal-ordering
-    constant from [alpha_k, alpha_{-k}] = k.
+    constant from [alpha_k, alpha_{-k}] = k.  Inserting or removing one
+    part k is injective on partitions, so no two terms share a key.
     """
+    if type(n) is not int:
+        raise TypeError("ladder mode must be an integer: %r" % (n,))
     if n == 0:
         raise ValueError("alpha_0 is central; n must be non-zero")
     out = {}
     for mu, poly in v.terms.items():
         if n < 0:
-            key = tuple(sorted(mu + (-n,), reverse=True))
-            out[key] = out.get(key, ZPoly()) + poly
+            key, factor = tuple(sorted(mu + (-n,), reverse=True)), 1
         else:
-            mult = mu.count(n)
-            if mult == 0:
+            factor = n * mu.count(n)
+            if factor == 0:
                 continue
             lst = list(mu)
             lst.remove(n)
             key = tuple(lst)
-            out[key] = out.get(key, ZPoly()) + poly.scale(n * mult)
+        out[key] = {e: factor * c for e, c in poly.items()}
     return FockVector(out)
 
 
@@ -261,8 +254,8 @@ def _pairing(u, v):
         pv = vterms.get(mu)
         if pv:
             norm = _norm(mu)
-            right = pv.coeffs.items()
-            for e1, c1 in pu.coeffs.items():
+            right = pv.items()
+            for e1, c1 in pu.items():
                 c1 *= norm
                 for e2, c2 in right:
                     out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
@@ -314,12 +307,12 @@ def apply_m(v, energy_cap):
             )
     out = {}  # partition -> {z exponent: coefficient}
     for mu, poly in v.terms.items():
-        coeffs = poly.coeffs.items()
+        coeffs = poly.items()
         for nu, factor, shift in _transitions(mu):
             acc = out.setdefault(nu, {})
             for e, c in coeffs:
                 acc[e + shift] = acc.get(e + shift, 0) + factor * c
-    return FockVector({mu: ZPoly(coeffs) for mu, coeffs in out.items()})
+    return FockVector(out)
 
 
 def _halves(mu, nu, power):
@@ -327,12 +320,12 @@ def _halves(mu, nu, power):
     p = power; when mu == nu the second is a link of the first's chain."""
     cap = sum(nu)
     half = power // 2
-    chain = [FockVector({mu: ZPoly.const(1)})]
+    chain = [FockVector({mu: {0: 1}})]
     for _ in range(power - half):
         chain.append(apply_m(chain[-1], cap))
     if mu == nu:
         return chain[-1], chain[half]
-    right = FockVector({nu: ZPoly.const(1)})
+    right = FockVector({nu: {0: 1}})
     for _ in range(half):
         right = apply_m(right, cap)
     return chain[-1], right
@@ -357,12 +350,12 @@ class ParityViolation(RuntimeError):
     """A nonzero z^c coefficient appeared where g - c + 1 is odd."""
 
 
-def _prefactor_sum(poly, g):
-    """sum_c coef_{z^c}(poly) * 2^{(g-c+1)/2} / 2^{c+1}, checking z-parity
-    (a ZPoly holds no zero coefficient)."""
+def _prefactor_sum(coeffs, g):
+    """sum_c coeffs[c] * 2^{(g-c+1)/2} / 2^{c+1} for a dict {c: int},
+    checking z-parity on the nonzero coefficients."""
     total = Fraction(0)
-    for c, coef in sorted(poly.coeffs.items()):
-        if (g - c + 1) % 2:
+    for c, coef in sorted(coeffs.items()):
+        if coef and (g - c + 1) % 2:
             raise ParityViolation(
                 "nonzero z^%d coefficient %s at g=%d: exponent (g-c+1)/2 "
                 "is not an integer; vertex-count parity is broken" % (c, coef, g)
@@ -388,7 +381,7 @@ def twisted_double_disconnected(mu, nu, g):
         )
         return Fraction(0)
     me = matrix_element(mu, nu, g - 1)
-    return _prefactor_sum(me, g) / (parts_product(mu) * parts_product(nu))
+    return _prefactor_sum(me.coeffs, g) / (parts_product(mu) * parts_product(nu))
 
 
 def elliptic_disconnected(d, g):
@@ -407,7 +400,7 @@ def elliptic_disconnected(d, g):
                     "of <b_mu|b_mu> = %d for mu = %r" % (g - 1, e, c, norm, mu)
                 )
             trace[e] = trace.get(e, 0) + quotient
-    return _prefactor_sum(ZPoly(trace), g)
+    return _prefactor_sum(trace, g)
 
 
 def elliptic_from_doubles(d, g):

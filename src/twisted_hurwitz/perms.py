@@ -102,10 +102,12 @@ def from_cycles(n: int, spec: str) -> Perm:
     """Parse 1-based cycle notation, e.g. ``from_cycles(4, "(1 4)(2 3)")``.
 
     Separators inside a cycle may be spaces or commas; points not mentioned
-    are fixed.  Single-digit runs like "(14)(23)" are accepted too and read
+    are fixed, and no point may appear twice, within a cycle or across
+    cycles.  Single-digit runs like "(14)(23)" are accepted too and read
     digit-by-digit (the common shorthand for n <= 9).
     """
     p = list(range(n))
+    seen = set()
     for group in re.findall(r"\(([^()]*)\)", spec):
         group = group.strip()
         if not group:
@@ -117,9 +119,10 @@ def from_cycles(n: int, spec: str) -> Perm:
         for a, b in zip(pts, pts[1:] + pts[:1]):
             if not 0 <= a < n:
                 raise ValueError(f"point {a + 1} out of range 1..{n}")
+            if a in seen:
+                raise ValueError(f"point {a + 1} appears twice in {spec!r}")
+            seen.add(a)
             p[a] = b
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"not a permutation: {spec!r}")
     return tuple(p)
 
 

@@ -57,6 +57,9 @@ def test_ladder_operator_actions():
     assert apply_alpha(3, b((2, 1))) == FockVector.zero()
     with pytest.raises(ValueError):
         apply_alpha(0, b(()))
+    for n, v in ((-1.5, b(())), (2.0, b((2,))), (True, b((1,)))):
+        with pytest.raises(TypeError):
+            apply_alpha(n, v)
 
 
 def test_commutation_relations():
@@ -92,12 +95,15 @@ def test_basis_norms():
 
 def _naive_inner_product(u, v):
     # term by term over every pair of basis vectors, norms recomputed
-    out = ZPoly()
+    out = {}
     for mu, pu in u.terms.items():
         for nu, pv in v.terms.items():
             if mu == nu:
-                out = out + (pu * pv).scale(parts_product(mu) * aut_count(mu))
-    return out
+                norm = parts_product(mu) * aut_count(mu)
+                for e1, c1 in pu.items():
+                    for e2, c2 in pv.items():
+                        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2 * norm
+    return ZPoly(out)
 
 
 def test_inner_product_matches_naive_reference():
@@ -106,7 +112,7 @@ def test_inner_product_matches_naive_reference():
     def vector():
         terms = {}
         for mu in rng.sample(BASIS, 6):
-            terms[mu] = ZPoly({e: rng.randint(-3, 3) for e in range(rng.randint(1, 3))})
+            terms[mu] = {e: rng.randint(-3, 3) for e in range(rng.randint(1, 3))}
         return FockVector(terms)
 
     for _ in range(300):
@@ -118,28 +124,26 @@ def test_inner_product_matches_naive_reference():
 
 def test_inner_product_drops_cancelled_coefficients():
     # <b_21|b_21> = 2 and <b_3|b_3> = 3, so 3 * 2 - 2 * 3 cancels
-    v = FockVector({(2, 1): ZPoly.const(1), (3,): ZPoly.const(-2)})
-    u = FockVector({(2, 1): ZPoly.const(3), (3,): ZPoly.const(1)})
+    v = FockVector({(2, 1): {0: 1}, (3,): {0: -2}})
+    u = FockVector({(2, 1): {0: 3}, (3,): {0: 1}})
     cancelled = inner_product(u, v)
     assert cancelled == ZPoly() == _naive_inner_product(u, v)
     assert not cancelled
     # the constant term cancels, the z term survives alone
-    u = FockVector({(2, 1): ZPoly({0: 3, 1: 1}), (3,): ZPoly.const(1)})
+    u = FockVector({(2, 1): {0: 3, 1: 1}, (3,): {0: 1}})
     assert inner_product(u, v).coeffs == {1: 2}
     assert inner_product(u, v) == _naive_inner_product(u, v)
 
 
 def test_vertex_operator_small_values():
     # oracle: normal-ordered expansion by hand
-    assert apply_m(b((2,)), 2) == FockVector(
-        {(2,): ZPoly({1: Fraction(4)}), (1, 1): ZPoly.const(2)}
-    )
+    assert apply_m(b((2,)), 2) == FockVector({(2,): {1: 4}, (1, 1): {0: 2}})
     assert apply_m(b((1, 1)), 2) == b((2,)).scale(2)
     assert apply_m(b((2, 1)), 3) == FockVector(
         {
-            (2, 1): ZPoly({1: Fraction(4)}),
-            (1, 1, 1): ZPoly.const(2),
-            (3,): ZPoly.const(4),
+            (2, 1): {1: 4},
+            (1, 1, 1): {0: 2},
+            (3,): {0: 4},
         }
     )
     assert apply_m(b(()), 0) == FockVector.zero()
@@ -147,12 +151,24 @@ def test_vertex_operator_small_values():
         apply_m(b((3,)), 2)
 
 
+def test_vertex_operator_drops_cancelled_terms():
+    # M b_11 = 2 b_2 and M b_2 = 4z b_2 + 2 b_11, so the two 4z b_2 terms of
+    # M (2z b_11 - b_2) cancel and b_2 must leave the vector
+    v = FockVector({(1, 1): {1: 2}, (2,): {0: -1}})
+    assert apply_m(v, 2) == FockVector({(1, 1): {0: -2}})
+
+
 def _m_from_ladders(v, n):
     # the module docstring's M, term by term from apply_alpha (energy n)
     out = FockVector.zero()
     for k in range(2, n + 1):
         diagonal = apply_alpha(-k, apply_alpha(k, v))
-        out = out + diagonal.scale(ZPoly({1: 2 * (k - 1)}))
+        out = out + FockVector(
+            {
+                mu: {e + 1: 2 * (k - 1) * c for e, c in p.items()}
+                for mu, p in diagonal.terms.items()
+            }
+        )
     for i in range(1, n):
         for j in range(1, n - i + 1):
             out = out + apply_alpha(-j, apply_alpha(-i, apply_alpha(i + j, v)))
@@ -213,7 +229,7 @@ def test_z_degree_and_parity():
         for g in (1, 2, 3, 4, 5):
             for mu in partitions(d):
                 poly = matrix_element(mu, mu, g - 1)
-                assert poly.degree() <= g - 1
+                assert max(poly.coeffs, default=0) <= g - 1
                 for c, coef in poly.coeffs.items():
                     assert coef != 0
                     assert (g - 1 - c) % 2 == 0

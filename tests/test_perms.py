@@ -53,8 +53,10 @@ def test_from_cycles_and_back():
 def test_from_cycles_rejects_garbage():
     with pytest.raises(ValueError):
         perms.from_cycles(3, "(1 4)")
-    with pytest.raises(ValueError):
-        perms.from_cycles(4, "(1 2)(2 3)")
+    # a repeated point, across cycles or within one, is refused
+    for spec in ("(1 2)(2 3)", "(1 2)(1 2)", "(1 1)", "(1 2 1)", "(1)(1)", "(11)"):
+        with pytest.raises(ValueError, match="appears twice"):
+            perms.from_cycles(4, spec)
 
 
 # -- tau and the subgroups ----------------------------------------------------
